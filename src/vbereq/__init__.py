@@ -23,7 +23,6 @@ from .evaluator import (
     EvaluationReport,
     Verdict,
     evaluate,
-    explain,
     role_candidates,
 )
 from .metrics import (
@@ -45,13 +44,11 @@ from .netio import (
     load_network_text,
     parse_edge_list,
     parse_matrix_csv,
-    render_metrics,
-    render_report,
-    report_document,
     serialize_edge_list,
     serialize_matrix_csv,
 )
 from .network import NetworkError, SocialNetwork
+from .render import explain, render_metrics, render_report, report_document
 from .reqtext import (
     RequirementSyntaxError,
     parse_requirements,

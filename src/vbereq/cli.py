@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,18 +25,13 @@ from typing import Sequence
 
 from .evaluator import EvaluationError, evaluate, role_candidates
 from .metrics import MODES
-from .netio import (
-    FormatError,
-    infer_format,
-    load_network_text,
-    render_metrics,
-    render_report,
-    report_document,
-)
+from .netio import FormatError, infer_format, load_network_text
 from .network import NetworkError, SocialNetwork
+from .render import render_metrics, render_report, report_document
 from .reqtext import RequirementSyntaxError, parse_requirements
 from .requirements import RequirementError, RequirementSet
 from .search import (
+    OBJECTIVES,
     SearchConfig,
     SearchError,
     SubnetworkSolution,
@@ -165,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--objective",
-        choices=("size", "density", "first"),
+        choices=OBJECTIVES,
         default="size",
         help="what makes one solution better than another",
     )
@@ -183,10 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load_network(args: argparse.Namespace) -> tuple[SocialNetwork, str, str]:
     """The loaded network, its display name, and the evaluation view."""
     fmt = args.format or infer_format(args.network)
-    text = Path(args.network).read_text()
+    text = _read_text(args.network)
     symmetric = args.undirected and fmt == "edges"
     net = load_network_text(text, fmt, symmetric=symmetric)
     view = "undirected" if args.undirected else "directed"
@@ -194,7 +194,7 @@ def _load_network(args: argparse.Namespace) -> tuple[SocialNetwork, str, str]:
 
 
 def _load_requirements(path: str) -> RequirementSet:
-    return parse_requirements(Path(path).read_text())
+    return parse_requirements(_read_text(path))
 
 
 def _emit(data: bytes) -> None:
@@ -219,7 +219,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if parent_fmt is None:
                 raise
         parent = load_network_text(
-            Path(args.parent).read_text(),
+            _read_text(args.parent),
             parent_fmt,
             symmetric=args.undirected and parent_fmt == "edges",
         )
@@ -238,7 +238,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         view=view,
         mode=args.mode,
     )
-    _emit(render_report(report, args.out))
+    _emit(render_report(report, args.out, color=args.color))
     return 0 if report.overall else 1
 
 
@@ -283,11 +283,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     cfg = SearchConfig(
         min_size=args.min_size,
         max_size=args.max_size,
-        mode=args.mode,
         objective=args.objective,
         **cap,
     )
-    if cfg.mode == "greedy-peel":
+    if args.mode == "peel":
         best = search_greedy_peel(
             net, reqs, cfg, args.anchor, network_name=name, view=view
         )
@@ -314,7 +313,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f"solution: {', '.join(best.actors)} "
             f"({cfg.objective}={value_text}, {alternatives} alternatives)\n".encode()
         )
-        _emit(render_report(best.report, "text"))
+        _emit(render_report(best.report, "text", color=args.color))
     return 0
 
 
@@ -324,6 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    args.color = os.environ.get("VBE_COLOR") == "1"
     try:
         return args.handler(args)
     except _USER_ERRORS as exc:

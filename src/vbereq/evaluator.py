@@ -14,7 +14,6 @@ fail rather than passing vacuously, and the rendered value states why.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -29,6 +28,7 @@ from .metrics import (
     shortest_path_length,
 )
 from .network import SocialNetwork
+from .render import metric_display
 from .reqtext import render_count_bound, render_literal, render_predicate
 from .requirements import (
     And,
@@ -46,7 +46,7 @@ from .requirements import (
     template_member,
     template_planner,
 )
-from .values import UNDEFINED, decimal_str, fraction_str, is_defined, percent_str
+from .values import UNDEFINED, fraction_str, is_defined
 
 
 class EvaluationError(ValueError):
@@ -162,22 +162,6 @@ def _eval_predicate(
     return False, [desc for ok, descs in results if not ok for desc in descs]
 
 
-def _metric_display(mv: MetricValue) -> str:
-    """Render a metric value with its decimal (and percent) companions."""
-    value = mv.value
-    if not is_defined(value):
-        return fraction_str(value)
-    frac = fraction_str(value, mv.ratio)
-    if isinstance(value, int) and mv.ratio is None:
-        return frac
-    extras = [decimal_str(value)]
-    if mv.metric in UNIT_INTERVAL_METRICS:
-        extras.append(percent_str(value))
-    if extras == [frac]:
-        return frac
-    return f"{frac} ({', '.join(extras)})"
-
-
 # -- verdicts ------------------------------------------------------------------
 
 
@@ -189,7 +173,7 @@ def _network_verdict(
     satisfied = body.cmp.holds(mv.value, body.threshold)
     threshold = render_literal(body.threshold, body.metric in UNIT_INTERVAL_METRICS)
     detail = (
-        f"{body.metric.value} = {_metric_display(mv)}; "
+        f"{body.metric.value} = {metric_display(mv)}; "
         f"required {body.cmp.value} {threshold}"
     )
     return Verdict(req.label, satisfied, detail, observed=(mv,))
@@ -422,51 +406,3 @@ def role_candidates(
         if _eval_predicate(predicate, a, base, base, "directed", "strict")[0]
     ]
 
-
-# -- text rendering -------------------------------------------------------------
-
-
-def _role_list(actors: tuple[str, ...]) -> str:
-    return ", ".join(actors) if actors else "(none)"
-
-
-def explain(report: EvaluationReport) -> str:
-    """One line per verdict plus roles and the overall outcome.
-
-    Deterministic for identical reports; VBE_COLOR=1 adds ANSI color to
-    the PASS/FAIL tags and nothing else.
-    """
-    color = os.environ.get("VBE_COLOR") == "1"
-
-    def tag(ok: bool) -> str:
-        word = "PASS" if ok else "FAIL"
-        if not color:
-            return word
-        return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
-
-    lines = [
-        f"network: {report.network_name}",
-        f"requirements: {report.requirement_set_name}",
-    ]
-    for verdict in report.verdicts:
-        line = f"{tag(verdict.satisfied)}  {verdict.label}: {verdict.detail}"
-        if verdict.witnesses:
-            line += f"; witnesses: {', '.join(verdict.witnesses)}"
-        if verdict.violators:
-            rendered = ", ".join(f"{a} ({d})" for a, d in verdict.violators)
-            line += f"; violators: {rendered}"
-        lines.append(line)
-    if report.peel_trace is not None:
-        peeled = ", ".join(report.peel_trace) if report.peel_trace else "(none)"
-        lines.append(f"peeled: {peeled}")
-    roles = report.role_candidacies
-    lines.append(
-        "roles: member: "
-        + _role_list(roles.get("member", ()))
-        + " | planner: "
-        + _role_list(roles.get("planner", ()))
-        + " | broker: "
-        + _role_list(roles.get("broker", ()))
-    )
-    lines.append(f"overall: {tag(report.overall)}")
-    return "\n".join(lines) + "\n"

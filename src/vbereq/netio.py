@@ -1,4 +1,4 @@
-"""Network file formats and report rendering.
+"""Network file formats.
 
 Two network formats round-trip through parse/serialize:
 
@@ -11,27 +11,11 @@ Two network formats round-trip through parse/serialize:
   "actors: id,id,..." declaring actor order and isolated actors, blank
   lines and #-comment lines ignored. Symmetric mode inserts both
   directions of every listed edge.
-
-Reports render as text (the evaluator's explain output) or as JSON with a
-stable key order, exact fraction strings, and decimal companions, so the
-bytes for identical inputs never change between runs.
 """
 
 from __future__ import annotations
 
-import json
-
-from .evaluator import EvaluationReport, _metric_display, explain
-from .metrics import (
-    UNIT_INTERVAL_METRICS,
-    MetricId,
-    MetricValue,
-    observe_actor_metric,
-    observe_network_metric,
-    reachable_fraction,
-)
 from .network import NetworkError, SocialNetwork, validate_actor_id
-from .values import decimal_str, fraction_str, is_defined, percent_str
 
 _CELL_VALUES = {"0", "1", "X", "x"}
 
@@ -208,159 +192,3 @@ def infer_format(path: str) -> str:
         f"cannot infer the format of {path!r}; pass --format matrix|edges"
     )
 
-
-# -- report rendering ---------------------------------------------------------
-
-
-def _metric_value_document(mv: MetricValue) -> dict:
-    doc: dict = {
-        "metric": mv.metric.value,
-        "scope": "network" if mv.actor is None else "actor",
-    }
-    if mv.actor is not None:
-        doc["actor"] = mv.actor
-    doc["value"] = fraction_str(mv.value, mv.ratio)
-    doc["decimal"] = decimal_str(mv.value)
-    if mv.metric in UNIT_INTERVAL_METRICS and is_defined(mv.value):
-        doc["percent"] = percent_str(mv.value)
-    return doc
-
-
-def report_document(report: EvaluationReport) -> dict:
-    """The JSON-ready structure behind render_report(format="json")."""
-    doc: dict = {
-        "network": report.network_name,
-        "requirement_set": report.requirement_set_name,
-        "anchor": report.anchor,
-        "overall": report.overall,
-        "verdicts": [
-            {
-                "label": v.label,
-                "satisfied": v.satisfied,
-                "detail": v.detail,
-                "witnesses": list(v.witnesses),
-                "violators": [
-                    {"actor": actor, "reason": reason}
-                    for actor, reason in v.violators
-                ],
-                "observed": [_metric_value_document(mv) for mv in v.observed],
-            }
-            for v in report.verdicts
-        ],
-        "role_candidacies": {
-            role: list(actors) for role, actors in report.role_candidacies.items()
-        },
-    }
-    if report.peel_trace is not None:
-        doc["peel_trace"] = list(report.peel_trace)
-    return doc
-
-
-def render_report(report: EvaluationReport, format: str = "text") -> bytes:
-    """Render an evaluation report as deterministic text or JSON bytes."""
-    if format == "text":
-        return explain(report).encode()
-    if format == "json":
-        return (json.dumps(report_document(report), indent=2) + "\n").encode()
-    raise ValueError(f"unknown report format {format!r} (use text or json)")
-
-
-# -- metrics rendering --------------------------------------------------------
-
-_NETWORK_ROWS = (
-    MetricId.SIZE,
-    MetricId.DENSITY,
-    MetricId.RECIPROCATED_TIE_RATIO,
-    MetricId.AVG_PATH_LENGTH,
-)
-
-_ACTOR_COLUMNS = (
-    MetricId.IN_DEGREE,
-    MetricId.OUT_DEGREE,
-    MetricId.TOTAL_DEGREE,
-    MetricId.IN_DENSITY,
-    MetricId.OUT_DENSITY,
-    MetricId.NEIGHBORHOOD_SIZE,
-    MetricId.RECIPROCATED_PARTNER_COUNT,
-    MetricId.RECIPROCATED_DENSITY,
-    MetricId.CLOSENESS,
-    MetricId.ECCENTRICITY,
-)
-
-
-def _short_value(mv: MetricValue) -> str:
-    if not is_defined(mv.value):
-        return fraction_str(mv.value)
-    text = fraction_str(mv.value, mv.ratio)
-    if mv.metric in UNIT_INTERVAL_METRICS:
-        text += f" ({percent_str(mv.value)})"
-    return text
-
-
-def metrics_document(
-    net: SocialNetwork,
-    name: str,
-    *,
-    view: str = "directed",
-    mode: str = "strict",
-) -> dict:
-    doc: dict = {"network": name, "view": view, "mode": mode}
-    for metric in _NETWORK_ROWS:
-        mv = observe_network_metric(net, metric, view=view, mode=mode)
-        if metric is MetricId.SIZE:
-            doc["size"] = mv.value
-        else:
-            doc[metric.value] = _metric_value_document(mv)
-    reachable = reachable_fraction(net, view=view)
-    doc["reachable_fraction"] = fraction_str(reachable)
-    if is_defined(reachable):
-        doc["reachable_fraction_decimal"] = decimal_str(reachable)
-    actors = []
-    for actor in net.actors:
-        row: dict = {"id": actor}
-        for metric in _ACTOR_COLUMNS:
-            mv = observe_actor_metric(net, metric, actor, view=view, mode=mode)
-            if isinstance(mv.value, int):
-                row[metric.value] = mv.value
-            else:
-                row[metric.value] = _metric_value_document(mv)
-        actors.append(row)
-    doc["actors"] = actors
-    return doc
-
-
-def render_metrics(
-    net: SocialNetwork,
-    name: str,
-    *,
-    view: str = "directed",
-    mode: str = "strict",
-    format: str = "text",
-) -> bytes:
-    """All network and per-actor metrics, as aligned text or JSON."""
-    if format == "json":
-        document = metrics_document(net, name, view=view, mode=mode)
-        return (json.dumps(document, indent=2) + "\n").encode()
-    if format != "text":
-        raise ValueError(f"unknown metrics format {format!r} (use text or json)")
-
-    lines = [f"network: {name}", f"view: {view}"]
-    for metric in _NETWORK_ROWS:
-        mv = observe_network_metric(net, metric, view=view, mode=mode)
-        lines.append(f"{metric.value}: {_metric_display(mv)}")
-    reachable = reachable_fraction(net, view=view)
-    lines.append(f"reachable_fraction: {fraction_str(reachable)}")
-    header = ["actor"] + [m.value for m in _ACTOR_COLUMNS]
-    rows = [header]
-    for actor in net.actors:
-        row = [actor]
-        for metric in _ACTOR_COLUMNS:
-            mv = observe_actor_metric(net, metric, actor, view=view, mode=mode)
-            row.append(
-                str(mv.value) if isinstance(mv.value, int) else _short_value(mv)
-            )
-        rows.append(row)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return ("\n".join(lines) + "\n").encode()

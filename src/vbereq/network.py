@@ -2,9 +2,9 @@
 
 A network is a set of actors plus a set of ordered ties; a tie ``(a, b)``
 reads "a sends information to b". There are no tie weights, no self-ties,
-and no parallel ties. Networks are immutable: operations that look like
-mutation return a new network, which makes instances safe to hash and to
-use as cache keys for derived tables.
+and no parallel ties. Networks are immutable: derivations return a new
+network, which makes instances safe to hash and to use as cache keys for
+derived tables.
 
 Actor order is the insertion order and every derived network preserves it,
 so reports over the same data render identically from run to run.
@@ -113,22 +113,6 @@ class SocialNetwork:
         return self._out[actor_id] | self._in[actor_id]
 
     # -- derivations -----------------------------------------------------
-
-    def add_tie(self, sender: str, receiver: str) -> "SocialNetwork":
-        """Return a network with the tie present; a no-op returns self."""
-        self.require_actor(sender)
-        self.require_actor(receiver)
-        if sender == receiver:
-            raise NetworkError(f"self-tie on {sender!r} is not allowed")
-        if (sender, receiver) in self.ties:
-            return self
-        return SocialNetwork(self.actors, self.ties | {(sender, receiver)})
-
-    def add_ties(self, pairs: Iterable[tuple[str, str]]) -> "SocialNetwork":
-        net = self
-        for sender, receiver in pairs:
-            net = net.add_tie(sender, receiver)
-        return net
 
     def induced(self, subset: Iterable[str]) -> "SocialNetwork":
         """The subnetwork on ``subset``, keeping only internal ties.

@@ -1,0 +1,255 @@
+"""Report and metrics rendering.
+
+Reports render as text (one line per verdict, see :func:`explain`) or as
+JSON with a stable key order, exact fraction strings, and decimal
+companions, so the bytes for identical inputs never change between runs.
+Metrics render as an aligned text table or as the same values in JSON.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import TYPE_CHECKING
+
+from .metrics import (
+    UNIT_INTERVAL_METRICS,
+    MetricId,
+    MetricValue,
+    observe_actor_metric,
+    observe_network_metric,
+    reachable_fraction,
+)
+from .network import SocialNetwork
+from .values import decimal_str, fraction_str, is_defined, percent_str
+
+if TYPE_CHECKING:
+    # The evaluator imports metric_display from here; a runtime import of
+    # the evaluator would be a cycle.
+    from .evaluator import EvaluationReport
+
+
+# -- metric values ------------------------------------------------------------
+
+
+def metric_display(mv: MetricValue) -> str:
+    """Render a metric value with its decimal (and percent) companions."""
+    value = mv.value
+    if not is_defined(value):
+        return fraction_str(value)
+    frac = fraction_str(value, mv.ratio)
+    if isinstance(value, int) and mv.ratio is None:
+        return frac
+    extras = [decimal_str(value)]
+    if mv.metric in UNIT_INTERVAL_METRICS:
+        extras.append(percent_str(value))
+    if extras == [frac]:
+        return frac
+    return f"{frac} ({', '.join(extras)})"
+
+
+def _short_value(mv: MetricValue) -> str:
+    if not is_defined(mv.value):
+        return fraction_str(mv.value)
+    text = fraction_str(mv.value, mv.ratio)
+    if mv.metric in UNIT_INTERVAL_METRICS:
+        text += f" ({percent_str(mv.value)})"
+    return text
+
+
+def _metric_value_document(mv: MetricValue) -> dict:
+    doc: dict = {
+        "metric": mv.metric.value,
+        "scope": "network" if mv.actor is None else "actor",
+    }
+    if mv.actor is not None:
+        doc["actor"] = mv.actor
+    doc["value"] = fraction_str(mv.value, mv.ratio)
+    doc["decimal"] = decimal_str(mv.value)
+    if mv.metric in UNIT_INTERVAL_METRICS and is_defined(mv.value):
+        doc["percent"] = percent_str(mv.value)
+    return doc
+
+
+# -- reports ------------------------------------------------------------------
+
+
+def _role_list(actors: tuple[str, ...]) -> str:
+    return ", ".join(actors) if actors else "(none)"
+
+
+def explain(report: EvaluationReport, color: bool = False) -> str:
+    """One line per verdict plus roles and the overall outcome.
+
+    Deterministic for identical reports; ``color`` adds ANSI color to the
+    PASS/FAIL tags and nothing else.
+    """
+
+    def tag(ok: bool) -> str:
+        word = "PASS" if ok else "FAIL"
+        if not color:
+            return word
+        return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
+
+    lines = [
+        f"network: {report.network_name}",
+        f"requirements: {report.requirement_set_name}",
+    ]
+    for verdict in report.verdicts:
+        line = f"{tag(verdict.satisfied)}  {verdict.label}: {verdict.detail}"
+        if verdict.witnesses:
+            line += f"; witnesses: {', '.join(verdict.witnesses)}"
+        if verdict.violators:
+            rendered = ", ".join(f"{a} ({d})" for a, d in verdict.violators)
+            line += f"; violators: {rendered}"
+        lines.append(line)
+    if report.peel_trace is not None:
+        peeled = ", ".join(report.peel_trace) if report.peel_trace else "(none)"
+        lines.append(f"peeled: {peeled}")
+    roles = report.role_candidacies
+    lines.append(
+        "roles: member: "
+        + _role_list(roles.get("member", ()))
+        + " | planner: "
+        + _role_list(roles.get("planner", ()))
+        + " | broker: "
+        + _role_list(roles.get("broker", ()))
+    )
+    lines.append(f"overall: {tag(report.overall)}")
+    return "\n".join(lines) + "\n"
+
+
+def report_document(report: EvaluationReport) -> dict:
+    """The JSON-ready structure behind render_report(format="json")."""
+    doc: dict = {
+        "network": report.network_name,
+        "requirement_set": report.requirement_set_name,
+        "anchor": report.anchor,
+        "overall": report.overall,
+        "verdicts": [
+            {
+                "label": v.label,
+                "satisfied": v.satisfied,
+                "detail": v.detail,
+                "witnesses": list(v.witnesses),
+                "violators": [
+                    {"actor": actor, "reason": reason}
+                    for actor, reason in v.violators
+                ],
+                "observed": [_metric_value_document(mv) for mv in v.observed],
+            }
+            for v in report.verdicts
+        ],
+        "role_candidacies": {
+            role: list(actors) for role, actors in report.role_candidacies.items()
+        },
+    }
+    if report.peel_trace is not None:
+        doc["peel_trace"] = list(report.peel_trace)
+    return doc
+
+
+def render_report(
+    report: EvaluationReport, format: str = "text", *, color: bool = False
+) -> bytes:
+    """Render an evaluation report as deterministic text or JSON bytes.
+
+    ``color`` applies to text only; see :func:`explain`.
+    """
+    if format == "text":
+        return explain(report, color).encode()
+    if format == "json":
+        return (json.dumps(report_document(report), indent=2) + "\n").encode()
+    raise ValueError(f"unknown report format {format!r} (use text or json)")
+
+
+# -- metrics ------------------------------------------------------------------
+
+_NETWORK_ROWS = (
+    MetricId.SIZE,
+    MetricId.DENSITY,
+    MetricId.RECIPROCATED_TIE_RATIO,
+    MetricId.AVG_PATH_LENGTH,
+)
+
+_ACTOR_COLUMNS = (
+    MetricId.IN_DEGREE,
+    MetricId.OUT_DEGREE,
+    MetricId.TOTAL_DEGREE,
+    MetricId.IN_DENSITY,
+    MetricId.OUT_DENSITY,
+    MetricId.NEIGHBORHOOD_SIZE,
+    MetricId.RECIPROCATED_PARTNER_COUNT,
+    MetricId.RECIPROCATED_DENSITY,
+    MetricId.CLOSENESS,
+    MetricId.ECCENTRICITY,
+)
+
+
+def render_metrics(
+    net: SocialNetwork,
+    name: str,
+    *,
+    view: str = "directed",
+    mode: str = "strict",
+    format: str = "text",
+) -> bytes:
+    """All network and per-actor metrics, as aligned text or JSON.
+
+    The metric table is computed once and then formatted.
+    """
+    if format not in ("text", "json"):
+        raise ValueError(f"unknown metrics format {format!r} (use text or json)")
+    network_values = [
+        observe_network_metric(net, metric, view=view, mode=mode)
+        for metric in _NETWORK_ROWS
+    ]
+    reachable = reachable_fraction(net, view=view)
+    actor_rows = [
+        (
+            actor,
+            [
+                observe_actor_metric(net, metric, actor, view=view, mode=mode)
+                for metric in _ACTOR_COLUMNS
+            ],
+        )
+        for actor in net.actors
+    ]
+
+    if format == "json":
+        doc: dict = {"network": name, "view": view, "mode": mode}
+        for mv in network_values:
+            if mv.metric is MetricId.SIZE:
+                doc["size"] = mv.value
+            else:
+                doc[mv.metric.value] = _metric_value_document(mv)
+        doc["reachable_fraction"] = fraction_str(reachable)
+        if is_defined(reachable):
+            doc["reachable_fraction_decimal"] = decimal_str(reachable)
+        doc["actors"] = []
+        for actor, values in actor_rows:
+            row: dict = {"id": actor}
+            for mv in values:
+                if isinstance(mv.value, int):
+                    row[mv.metric.value] = mv.value
+                else:
+                    row[mv.metric.value] = _metric_value_document(mv)
+            doc["actors"].append(row)
+        return (json.dumps(doc, indent=2) + "\n").encode()
+
+    lines = [f"network: {name}", f"view: {view}"]
+    for mv in network_values:
+        lines.append(f"{mv.metric.value}: {metric_display(mv)}")
+    lines.append(f"reachable_fraction: {fraction_str(reachable)}")
+    header = ["actor"] + [m.value for m in _ACTOR_COLUMNS]
+    rows = [header]
+    for actor, values in actor_rows:
+        cells = [actor]
+        for mv in values:
+            cells.append(
+                str(mv.value) if isinstance(mv.value, int) else _short_value(mv)
+            )
+        rows.append(cells)
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    for row in rows:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return ("\n".join(lines) + "\n").encode()

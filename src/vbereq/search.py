@@ -31,19 +31,7 @@ from .requirements import RequirementSet
 EXHAUSTIVE_SIZE_GUARD = 20
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
-_MODES = {
-    "exhaustive": "exhaustive",
-    "greedy-peel": "greedy-peel",
-    "peel": "greedy-peel",
-}
-_OBJECTIVES = {
-    "size": "size",
-    "maximize-size": "size",
-    "density": "density",
-    "maximize-density": "density",
-    "first": "first",
-    "first-found": "first",
-}
+OBJECTIVES = ("size", "density", "first")
 
 
 class SearchError(ValueError):
@@ -52,21 +40,16 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters; mode and objective accept their long spellings."""
+    """Size window, objective (one of OBJECTIVES), and enumeration cap."""
 
     min_size: int
     max_size: int
-    mode: str = "exhaustive"
     objective: str = "size"
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise SearchError(f"unknown search mode {self.mode!r}")
-        object.__setattr__(self, "mode", _MODES[self.mode])
-        if self.objective not in _OBJECTIVES:
+        if self.objective not in OBJECTIVES:
             raise SearchError(f"unknown objective {self.objective!r}")
-        object.__setattr__(self, "objective", _OBJECTIVES[self.objective])
         if not 1 <= self.min_size <= self.max_size:
             raise SearchError(
                 "size bounds invalid: need 1 <= min_size <= max_size"
@@ -137,8 +120,6 @@ def search_exhaustive(
     order. Raises SearchError if the network exceeds ``size_guard`` actors
     or the enumeration cap is hit before the window is exhausted.
     """
-    if cfg.mode != "exhaustive":
-        raise SearchError(f"config mode is {cfg.mode!r}, not 'exhaustive'")
     if net.size > size_guard:
         raise SearchError(
             f"refusing exhaustive enumeration over {net.size} actors "
@@ -210,8 +191,6 @@ def search_greedy_peel(
     with the removal trace recorded in the report; None once peeling
     would cross min_size without success.
     """
-    if cfg.mode != "greedy-peel":
-        raise SearchError(f"config mode is {cfg.mode!r}, not 'greedy-peel'")
     _check_bounds(net, cfg)
     effective = _resolve_anchor(net, reqs, anchor)
     anchor_arg = effective if reqs.needs_anchor else None

@@ -367,7 +367,7 @@ def test_criterion_7_search_soundness(capsys):
             got = search_exhaustive(net, reqs, cfg, anchor)
             expected = _oracle_search(net, reqs, cfg, anchor)
             assert [(s.actors, Fraction(s.objective_value)) for s in got] == expected
-            peel_cfg = SearchConfig(min_size=lo, max_size=hi, mode="greedy-peel")
+            peel_cfg = SearchConfig(min_size=lo, max_size=hi)
             solution = search_greedy_peel(net, reqs, peel_cfg, anchor)
             if solution is not None:
                 assert lo <= len(solution.actors) <= hi

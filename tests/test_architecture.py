@@ -1,0 +1,77 @@
+"""Module boundaries of the package, checked on its source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).parents[1] / "src" / "vbereq"
+MODULES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def _imports(tree: ast.Module, runtime_only: bool = False) -> list[tuple[str, str]]:
+    """(package module, imported name) pairs; name is "" for a module import.
+
+    ``runtime_only`` leaves out imports under ``if TYPE_CHECKING:``.
+    """
+    skipped: set[int] = set()
+    if runtime_only:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.If) and getattr(node.test, "id", "") == "TYPE_CHECKING":
+                skipped.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or id(node) in skipped:
+            continue
+        names = [alias.name for alias in node.names]
+        if node.level == 1 and node.module is None:
+            found.extend((name, "") for name in names)
+        elif node.level == 1:
+            found.extend((node.module.split(".")[0], name) for name in names)
+        elif node.level == 0 and (node.module or "").startswith("vbereq."):
+            found.extend((node.module.split(".")[1], name) for name in names)
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = [
+        f"{name}: {module}.{imported}"
+        for name, tree in MODULES.items()
+        for module, imported in _imports(tree)
+        if imported.startswith("_") and not imported.startswith("__")
+    ]
+    assert private == []
+
+
+def test_only_the_cli_reads_the_environment():
+    touches = [
+        f"{name}:{node.lineno}"
+        for name, tree in MODULES.items()
+        if name != "cli"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and {a.name for a in node.names} & {"environ", "getenv"}
+        )
+    ]
+    assert touches == []
+
+
+def test_file_formats_import_neither_evaluation_nor_rendering():
+    imported = {module for module, _ in _imports(MODULES["netio"])}
+    assert not imported & {"evaluator", "render"}
+
+
+def test_no_import_cycles():
+    graph = {
+        name: {module for module, _ in _imports(tree, runtime_only=True)}
+        for name, tree in MODULES.items()
+    }
+
+    def reaches(start: str, target: str, seen: set[str]) -> bool:
+        return any(
+            nxt == target or (nxt not in seen and reaches(nxt, target, seen | {nxt}))
+            for nxt in graph.get(start, ())
+        )
+
+    assert [name for name in graph if reaches(name, name, {name})] == []

@@ -132,6 +132,37 @@ class TestCheckCommand:
         assert "line 1" in err and "%" in err
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "--network", STEEL_CSV],
+            ["metrics", "--network", WHOLESALE_EDGES, "--out", "json"],
+            [
+                "check",
+                "--network", WHOLESALE_EDGES,
+                "--parent", WHOLESALE_EDGES,
+                "--requirements", WHOLESALER_REQ,
+                "--actors", "A,F,I,J",
+                "--anchor", "A",
+                "--undirected",
+            ],
+        ],
+    )
+    def test_bom_files_read_like_plain_ones(self, argv, tmp_path, capsys):
+        plain_rc = main(argv)
+        plain = capsys.readouterr()
+        bom_argv = []
+        for arg in argv:
+            if Path(arg).is_file():
+                copy = tmp_path / Path(arg).name
+                copy.write_bytes(b"\xef\xbb\xbf" + Path(arg).read_bytes())
+                arg = str(copy)
+            bom_argv.append(arg)
+        assert main(bom_argv) == plain_rc
+        assert capsys.readouterr() == plain
+
+
 class TestRolesCommand:
     def test_all_roles_text(self, capsys):
         assert main(["roles", "--network", STEEL_CSV]) == 0

@@ -258,11 +258,12 @@ class TestExplain:
         assert text.endswith("overall: PASS\n")
 
     def test_color_wraps_only_tags(self, steel10, steel_vbe_reqs, monkeypatch):
-        monkeypatch.setenv("VBE_COLOR", "1")
-        text = explain(evaluate(steel10, steel_vbe_reqs))
+        report = evaluate(steel10, steel_vbe_reqs)
+        text = explain(report, color=True)
         assert "\x1b[32mPASS\x1b[0m" in text
-        monkeypatch.setenv("VBE_COLOR", "0")
-        assert "\x1b[" not in explain(evaluate(steel10, steel_vbe_reqs))
+        assert text.replace("\x1b[32m", "").replace("\x1b[0m", "") == explain(report)
+        monkeypatch.setenv("VBE_COLOR", "1")
+        assert "\x1b[" not in explain(report)
 
     def test_roles_line(self, steel10, steel_vbe_reqs):
         text = explain(evaluate(steel10, steel_vbe_reqs))

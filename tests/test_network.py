@@ -72,19 +72,6 @@ class TestQueries:
 
 
 class TestDerivations:
-    def test_add_tie_returns_new_network(self):
-        n = net("AB")
-        m = n.add_tie("A", "B")
-        assert m.has_tie("A", "B") and not n.has_tie("A", "B")
-
-    def test_add_tie_noop_returns_self(self):
-        n = net("AB", {("A", "B")})
-        assert n.add_tie("A", "B") is n
-
-    def test_add_ties(self):
-        n = net("ABC").add_ties([("A", "B"), ("B", "C")])
-        assert n.tie_count == 2
-
     def test_induced_keeps_internal_ties_and_parent_order(self):
         n = net("ABCD", {("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")})
         sub = n.induced(("C", "A", "B"))

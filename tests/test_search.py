@@ -29,17 +29,10 @@ def members_only_reqs():
 
 
 class TestConfig:
-    def test_normalization(self):
-        cfg = SearchConfig(2, 4, mode="peel", objective="maximize-density")
-        assert cfg.mode == "greedy-peel"
-        assert cfg.objective == "density"
-        assert SearchConfig(1, 1).mode == "exhaustive"
-
     def test_validation(self):
-        with pytest.raises(SearchError, match="unknown search mode"):
-            SearchConfig(1, 2, mode="telepathy")
-        with pytest.raises(SearchError, match="unknown objective"):
-            SearchConfig(1, 2, objective="vibes")
+        for objective in ("vibes", "maximize-size", "first-found"):
+            with pytest.raises(SearchError, match="unknown objective"):
+                SearchConfig(1, 2, objective=objective)
         with pytest.raises(SearchError):
             SearchConfig(3, 2)
         with pytest.raises(SearchError):
@@ -119,12 +112,6 @@ class TestExhaustive:
             search_exhaustive(big, reqs, SearchConfig(1, 2))
         assert search_exhaustive(big, reqs, SearchConfig(1, 1), size_guard=25)
 
-    def test_mode_mismatch(self, steel10, steel_vbe_reqs):
-        with pytest.raises(SearchError, match="not 'exhaustive'"):
-            search_exhaustive(steel10, steel_vbe_reqs, SearchConfig(5, 10, mode="peel"))
-        with pytest.raises(SearchError, match="not 'greedy-peel'"):
-            search_greedy_peel(steel10, steel_vbe_reqs, SearchConfig(5, 10))
-
     def test_anchor_resolution_errors(self, wholesale, wholesaler_reqs):
         with pytest.raises(SearchError, match="supply one"):
             search_exhaustive(wholesale, wholesaler_reqs, SearchConfig(4, 4))
@@ -134,7 +121,7 @@ class TestExhaustive:
 
 class TestGreedyPeel:
     def test_peels_f_then_i(self, steel10_f3):
-        cfg = SearchConfig(5, 10, mode="peel")
+        cfg = SearchConfig(5, 10)
         sol = search_greedy_peel(steel10_f3, members_only_reqs(), cfg, network_name="f3")
         assert sol is not None
         assert sol.actors == ("A", "B", "C", "D", "E", "G", "H", "J")
@@ -143,7 +130,7 @@ class TestGreedyPeel:
         assert sol.report.network_name == "f3[A,B,C,D,E,G,H,J]"
 
     def test_immediate_success_has_empty_trace(self, steel10, steel_vbe_reqs):
-        cfg = SearchConfig(5, 10, mode="peel")
+        cfg = SearchConfig(5, 10)
         sol = search_greedy_peel(steel10, steel_vbe_reqs, cfg)
         assert sol.actors == tuple("ABCDEFGHIJ")
         assert sol.report.peel_trace == ()
@@ -152,11 +139,11 @@ class TestGreedyPeel:
         impossible = RequirementSet(
             "i", (Requirement("x", NetworkConstraint(MetricId.SIZE, Comparator.GE, 11)),)
         )
-        cfg = SearchConfig(8, 10, mode="peel")
+        cfg = SearchConfig(8, 10)
         assert search_greedy_peel(steel10, impossible, cfg) is None
 
     def test_anchor_is_never_peeled(self, wholesale, wholesaler_reqs):
-        cfg = SearchConfig(4, 4, mode="peel")
+        cfg = SearchConfig(4, 4)
         sol = search_greedy_peel(
             wholesale, wholesaler_reqs, cfg, "A", view="undirected"
         )
@@ -165,14 +152,14 @@ class TestGreedyPeel:
             assert "A" not in sol.report.peel_trace
 
     def test_shrinks_when_over_max_size(self, steel10, steel_vbe_reqs):
-        cfg = SearchConfig(5, 8, mode="peel")
+        cfg = SearchConfig(5, 8)
         sol = search_greedy_peel(steel10, steel_vbe_reqs, cfg)
         if sol is not None:
             assert len(sol.actors) <= 8
             assert sol.report.overall
 
     def test_peel_success_reevaluates_to_pass(self, steel10_f3):
-        cfg = SearchConfig(5, 10, mode="peel")
+        cfg = SearchConfig(5, 10)
         sol = search_greedy_peel(steel10_f3, members_only_reqs(), cfg)
         fresh = evaluate(
             steel10_f3.induced(sol.actors), members_only_reqs(), parent=steel10_f3
