@@ -295,16 +295,20 @@ def _path_verdict(
     return Verdict(req.label, False, detail, violators=tuple(violators))
 
 
+def _screen(predicate, net: SocialNetwork) -> list[str]:
+    """Actors of ``net`` whose role predicate holds, screened on ``net``."""
+    return [
+        a
+        for a in net.actors
+        if _eval_predicate(predicate, a, net, net, "directed", "strict")[0]
+    ]
+
+
 def _candidacies(net: SocialNetwork) -> dict[str, tuple[str, ...]]:
-    out: dict[str, tuple[str, ...]] = {}
-    for role in ("member", "planner", "broker"):
-        predicate = _ROLE_TEMPLATES[role]()
-        out[role] = tuple(
-            a
-            for a in net.actors
-            if _eval_predicate(predicate, a, net, net, "directed", "strict")[0]
-        )
-    return out
+    return {
+        role: tuple(_screen(template(), net))
+        for role, template in _ROLE_TEMPLATES.items()
+    }
 
 
 def evaluate(
@@ -321,15 +325,22 @@ def evaluate(
 
     ``anchor`` must be given exactly when the set designates one (a pinned
     designation supplies a default; an explicit argument overrides it).
-    ``parent`` is the network a candidate subset was drawn from; ``@parent``
-    atoms evaluate there. ``view``/``mode`` select path-metric semantics.
+    ``parent`` is the network a candidate subset was drawn from; ``net``
+    must be the subnetwork it induces, and ``@parent`` atoms evaluate
+    there. ``view``/``mode`` select path-metric semantics.
     """
     parent_net = parent if parent is not None else net
     if parent_net is not net:
+        members = frozenset(net.actors)
         for actor in net.actors:
             if actor not in parent_net:
                 raise EvaluationError(
                     f"actor {actor!r} is not part of the parent network"
+                )
+            if net.out_neighbors(actor) != parent_net.out_neighbors(actor) & members:
+                raise EvaluationError(
+                    f"ties of {actor!r} differ from those the parent network "
+                    f"induces on the evaluated actors"
                 )
     if reqs.needs_anchor:
         effective = anchor if anchor is not None else reqs.anchor
@@ -390,19 +401,9 @@ def role_candidates(
         raise EvaluationError("role screening needs at least two actors")
     base = net
     if members_only and role != "member":
-        member_pred = template_member()
-        members = [
-            a
-            for a in net.actors
-            if _eval_predicate(member_pred, a, net, net, "directed", "strict")[0]
-        ]
+        members = _screen(template_member(), net)
         if not members:
             return []
         base = net.induced(members)
-    predicate = _ROLE_TEMPLATES[role]()
-    return [
-        a
-        for a in base.actors
-        if _eval_predicate(predicate, a, base, base, "directed", "strict")[0]
-    ]
+    return _screen(_ROLE_TEMPLATES[role](), base)
 

@@ -19,6 +19,15 @@ a direction. Unreachability handling is selected by ``mode``:
 Ratios are reduced by ``Fraction``, so alongside each value the observe
 helpers keep the natural unreduced counts (51 ties over 90 ordered pairs
 stays ``51/90`` in reports, not ``17/30``).
+
+Each :class:`MetricId` has exactly one row in :data:`METRIC_TABLE`, which
+holds its scope (network or actor), whether its range is [0, 1], and an
+``observe`` function that returns the value and its display ratio from the
+same counts. :func:`network_metric`, :func:`actor_metric` and the
+``observe_*`` helpers are lookups in that table, ``NETWORK_METRICS``,
+``ACTOR_METRICS`` and ``UNIT_INTERVAL_METRICS`` are derived from it, and
+its order is the order of the metrics report. Adding a metric takes one
+``MetricId`` member and one row.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .network import SocialNetwork
 from .values import UNDEFINED, UNREACHABLE, MetricResult
@@ -52,30 +62,11 @@ class MetricId(enum.Enum):
     ECCENTRICITY = "eccentricity"
 
 
-NETWORK_METRICS = frozenset(
-    {
-        MetricId.SIZE,
-        MetricId.DENSITY,
-        MetricId.AVG_PATH_LENGTH,
-        MetricId.RECIPROCATED_TIE_RATIO,
-    }
-)
-ACTOR_METRICS = frozenset(MetricId) - NETWORK_METRICS
-
-# Metrics whose range is [0, 1]; these render with a percent form and their
-# requirement thresholds are validated against that range.
-UNIT_INTERVAL_METRICS = frozenset(
-    {
-        MetricId.DENSITY,
-        MetricId.RECIPROCATED_TIE_RATIO,
-        MetricId.IN_DENSITY,
-        MetricId.OUT_DENSITY,
-        MetricId.RECIPROCATED_DENSITY,
-    }
-)
-
 VIEWS = ("directed", "undirected")
 MODES = ("strict", "lenient")
+
+# A metric value and, for a fraction of two counts, the unreduced ratio.
+Observation = tuple[MetricResult, tuple[int, int] | None]
 
 
 def _check_view(view: str) -> None:
@@ -83,9 +74,11 @@ def _check_view(view: str) -> None:
         raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+def _ratio(num: int, den: int) -> Observation:
+    """``num/den`` with its unreduced form; UNDEFINED over a zero count."""
+    if den == 0:
+        return UNDEFINED, None
+    return Fraction(num, den), (num, den)
 
 
 # -- plain structure ------------------------------------------------------
@@ -97,10 +90,7 @@ def size(net: SocialNetwork) -> int:
 
 def density(net: SocialNetwork) -> MetricResult:
     """Ties over ordered actor pairs; UNDEFINED below two actors."""
-    n = net.size
-    if n < 2:
-        return UNDEFINED
-    return Fraction(net.tie_count, n * (n - 1))
+    return network_metric(net, MetricId.DENSITY)
 
 
 def out_degree(net: SocialNetwork, actor: str) -> int:
@@ -117,18 +107,12 @@ def total_degree(net: SocialNetwork, actor: str) -> int:
 
 def out_density(net: SocialNetwork, actor: str) -> MetricResult:
     """Out-degree over the other actors; UNDEFINED below two actors."""
-    deg = out_degree(net, actor)
-    if net.size < 2:
-        return UNDEFINED
-    return Fraction(deg, net.size - 1)
+    return actor_metric(net, MetricId.OUT_DENSITY, actor)
 
 
 def in_density(net: SocialNetwork, actor: str) -> MetricResult:
     """In-degree over the other actors; UNDEFINED below two actors."""
-    deg = in_degree(net, actor)
-    if net.size < 2:
-        return UNDEFINED
-    return Fraction(deg, net.size - 1)
+    return actor_metric(net, MetricId.IN_DENSITY, actor)
 
 
 def neighborhood_size(net: SocialNetwork, actor: str) -> int:
@@ -143,10 +127,7 @@ def reciprocated_partner_count(net: SocialNetwork, actor: str) -> int:
 
 def reciprocated_density(net: SocialNetwork, actor: str) -> MetricResult:
     """Reciprocated partners over neighborhood size; UNDEFINED for isolates."""
-    nbhd = neighborhood_size(net, actor)
-    if nbhd == 0:
-        return UNDEFINED
-    return Fraction(reciprocated_partner_count(net, actor), nbhd)
+    return actor_metric(net, MetricId.RECIPROCATED_DENSITY, actor)
 
 
 def mutual_pair_count(net: SocialNetwork) -> int:
@@ -156,9 +137,7 @@ def mutual_pair_count(net: SocialNetwork) -> int:
 
 def reciprocated_tie_ratio(net: SocialNetwork) -> MetricResult:
     """Share of ties that are part of a mutual pair; UNDEFINED with no ties."""
-    if net.tie_count == 0:
-        return UNDEFINED
-    return Fraction(2 * mutual_pair_count(net), net.tie_count)
+    return network_metric(net, MetricId.RECIPROCATED_TIE_RATIO)
 
 
 # -- paths ----------------------------------------------------------------
@@ -193,6 +172,35 @@ def shortest_path_length(
     return UNREACHABLE if found is None else found
 
 
+def _hops(net: SocialNetwork, actor: str, view: str, mode: str) -> list[int] | None:
+    """Hop counts from ``actor`` to each other actor it reaches.
+
+    None in strict mode when some other actor cannot be reached.
+    """
+    net.require_actor(actor)
+    dist = _distance_table(net, view == "undirected")[actor]
+    hops = [h for other, h in dist.items() if other != actor]
+    if mode == "strict" and len(hops) < net.size - 1:
+        return None
+    return hops
+
+
+def _observe_eccentricity(
+    net: SocialNetwork, actor: str, view: str, mode: str
+) -> Observation:
+    hops = _hops(net, actor, view, mode)
+    if hops is None:
+        return UNREACHABLE, None
+    return max(hops, default=0 if net.size == 1 else UNDEFINED), None
+
+
+def _observe_closeness(
+    net: SocialNetwork, actor: str, view: str, mode: str
+) -> Observation:
+    hops = _hops(net, actor, view, mode)
+    return (Fraction(1, sum(hops)) if hops else UNDEFINED), None
+
+
 def eccentricity(
     net: SocialNetwork, actor: str, *, view: str = "directed", mode: str = "strict"
 ) -> MetricResult:
@@ -202,20 +210,7 @@ def eccentricity(
     UNREACHABLE when any other actor cannot be reached; lenient mode maxes
     over the reachable ones and is UNDEFINED only when there are none.
     """
-    _check_view(view)
-    _check_mode(mode)
-    net.require_actor(actor)
-    others = [a for a in net.actors if a != actor]
-    if not others:
-        return 0
-    dist = _distance_table(net, view == "undirected")[actor]
-    hops = [dist.get(o) for o in others]
-    if mode == "strict":
-        if any(h is None for h in hops):
-            return UNREACHABLE
-        return max(hops)
-    reachable = [h for h in hops if h is not None]
-    return max(reachable) if reachable else UNDEFINED
+    return actor_metric(net, MetricId.ECCENTRICITY, actor, view=view, mode=mode)
 
 
 def closeness(
@@ -226,43 +221,25 @@ def closeness(
     UNDEFINED for a single-actor network, in strict mode when anyone is
     unreachable, and in lenient mode when everyone is.
     """
-    _check_view(view)
-    _check_mode(mode)
-    net.require_actor(actor)
-    others = [a for a in net.actors if a != actor]
-    if not others:
-        return UNDEFINED
-    dist = _distance_table(net, view == "undirected")[actor]
-    hops = [dist.get(o) for o in others]
-    if mode == "strict":
-        if any(h is None for h in hops):
-            return UNDEFINED
-        return Fraction(1, sum(hops))
-    reachable = [h for h in hops if h is not None]
-    if not reachable:
-        return UNDEFINED
-    return Fraction(1, sum(reachable))
+    return actor_metric(net, MetricId.CLOSENESS, actor, view=view, mode=mode)
 
 
-def _path_sums(
-    net: SocialNetwork, undirected: bool
-) -> tuple[int, int, int]:
+def _path_sums(net: SocialNetwork, undirected: bool) -> tuple[int, int, int]:
     """(sum over reachable ordered pairs, reachable pair count, pair count)."""
-    table = _distance_table(net, undirected)
-    total = 0
-    reachable = 0
-    pairs = 0
-    for a in net.actors:
-        dist = table[a]
-        for b in net.actors:
-            if a == b:
-                continue
-            pairs += 1
-            hops = dist.get(b)
-            if hops is not None:
-                total += hops
-                reachable += 1
-    return total, reachable, pairs
+    total = reachable = 0
+    for dist in _distance_table(net, undirected).values():
+        total += sum(dist.values())
+        reachable += len(dist) - 1
+    return total, reachable, net.size * (net.size - 1)
+
+
+def _observe_avg_path_length(
+    net: SocialNetwork, actor: None, view: str, mode: str
+) -> Observation:
+    total, reachable, pairs = _path_sums(net, view == "undirected")
+    if mode == "strict" and reachable < pairs:
+        return UNDEFINED, None
+    return _ratio(total, reachable)
 
 
 def avg_path_length(
@@ -273,18 +250,7 @@ def avg_path_length(
     UNDEFINED below two actors, in strict mode when any pair is
     unreachable, and in lenient mode when every pair is.
     """
-    _check_view(view)
-    _check_mode(mode)
-    if net.size < 2:
-        return UNDEFINED
-    total, reachable, pairs = _path_sums(net, view == "undirected")
-    if mode == "strict":
-        if reachable < pairs:
-            return UNDEFINED
-        return Fraction(total, pairs)
-    if reachable == 0:
-        return UNDEFINED
-    return Fraction(total, reachable)
+    return network_metric(net, MetricId.AVG_PATH_LENGTH, view=view, mode=mode)
 
 
 def reachable_fraction(
@@ -292,13 +258,79 @@ def reachable_fraction(
 ) -> MetricResult:
     """Share of ordered pairs connected by a path; UNDEFINED below two actors."""
     _check_view(view)
-    if net.size < 2:
-        return UNDEFINED
     _, reachable, pairs = _path_sums(net, view == "undirected")
-    return Fraction(reachable, pairs)
+    return _ratio(reachable, pairs)[0]
 
 
-# -- dispatch and observations ---------------------------------------------
+# -- the metric table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MetricRow:
+    """One metric's scope, range and computation.
+
+    ``observe(net, actor, view, mode)`` returns the value together with the
+    unreduced ratio behind it, or None when the value is not a fraction of
+    two counts; ``actor`` is None for network-scoped rows.
+    """
+
+    metric: MetricId
+    scope: str  # "network" or "actor"
+    unit_interval: bool
+    observe: Callable[[SocialNetwork, str | None, str, str], Observation]
+
+
+# The order is the report order: network rows, then the per-actor columns.
+METRIC_TABLE = (
+    MetricRow(MetricId.SIZE, "network", False,
+              lambda net, *_: (net.size, None)),
+    MetricRow(MetricId.DENSITY, "network", True,
+              lambda net, *_: _ratio(net.tie_count, net.size * (net.size - 1))),
+    MetricRow(MetricId.RECIPROCATED_TIE_RATIO, "network", True,
+              lambda net, *_: _ratio(2 * mutual_pair_count(net), net.tie_count)),
+    MetricRow(MetricId.AVG_PATH_LENGTH, "network", False,
+              _observe_avg_path_length),
+    MetricRow(MetricId.IN_DEGREE, "actor", False,
+              lambda net, a, *_: (in_degree(net, a), None)),
+    MetricRow(MetricId.OUT_DEGREE, "actor", False,
+              lambda net, a, *_: (out_degree(net, a), None)),
+    MetricRow(MetricId.TOTAL_DEGREE, "actor", False,
+              lambda net, a, *_: (total_degree(net, a), None)),
+    MetricRow(MetricId.IN_DENSITY, "actor", True,
+              lambda net, a, *_: _ratio(in_degree(net, a), net.size - 1)),
+    MetricRow(MetricId.OUT_DENSITY, "actor", True,
+              lambda net, a, *_: _ratio(out_degree(net, a), net.size - 1)),
+    MetricRow(MetricId.NEIGHBORHOOD_SIZE, "actor", False,
+              lambda net, a, *_: (neighborhood_size(net, a), None)),
+    MetricRow(MetricId.RECIPROCATED_PARTNER_COUNT, "actor", False,
+              lambda net, a, *_: (reciprocated_partner_count(net, a), None)),
+    MetricRow(MetricId.RECIPROCATED_DENSITY, "actor", True,
+              lambda net, a, *_: _ratio(
+                  reciprocated_partner_count(net, a), neighborhood_size(net, a))),
+    MetricRow(MetricId.CLOSENESS, "actor", False, _observe_closeness),
+    MetricRow(MetricId.ECCENTRICITY, "actor", False, _observe_eccentricity),
+)
+
+_ROWS = {row.metric: row for row in METRIC_TABLE}
+
+NETWORK_METRICS = frozenset(r.metric for r in METRIC_TABLE if r.scope == "network")
+ACTOR_METRICS = frozenset(r.metric for r in METRIC_TABLE if r.scope == "actor")
+
+# Metrics whose range is [0, 1]; these render with a percent form and their
+# requirement thresholds are validated against that range.
+UNIT_INTERVAL_METRICS = frozenset(r.metric for r in METRIC_TABLE if r.unit_interval)
+
+
+def _row(metric: MetricId, scope: str, view: str, mode: str) -> MetricRow:
+    """The table row of ``metric``, after the checks every lookup shares."""
+    if view not in VIEWS:
+        raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    row = _ROWS[metric]
+    if row.scope != scope:
+        raise ValueError(f"{metric.value} is {row.scope}-scoped, not {scope}-scoped")
+    return row
 
 
 def network_metric(
@@ -309,15 +341,7 @@ def network_metric(
     mode: str = "strict",
 ) -> MetricResult:
     """Compute a network-scoped metric by id."""
-    if metric is MetricId.SIZE:
-        return size(net)
-    if metric is MetricId.DENSITY:
-        return density(net)
-    if metric is MetricId.AVG_PATH_LENGTH:
-        return avg_path_length(net, view=view, mode=mode)
-    if metric is MetricId.RECIPROCATED_TIE_RATIO:
-        return reciprocated_tie_ratio(net)
-    raise ValueError(f"{metric.value} is actor-scoped, not network-scoped")
+    return _row(metric, "network", view, mode).observe(net, None, view, mode)[0]
 
 
 def actor_metric(
@@ -329,27 +353,7 @@ def actor_metric(
     mode: str = "strict",
 ) -> MetricResult:
     """Compute an actor-scoped metric by id."""
-    if metric is MetricId.IN_DEGREE:
-        return in_degree(net, actor)
-    if metric is MetricId.OUT_DEGREE:
-        return out_degree(net, actor)
-    if metric is MetricId.TOTAL_DEGREE:
-        return total_degree(net, actor)
-    if metric is MetricId.IN_DENSITY:
-        return in_density(net, actor)
-    if metric is MetricId.OUT_DENSITY:
-        return out_density(net, actor)
-    if metric is MetricId.NEIGHBORHOOD_SIZE:
-        return neighborhood_size(net, actor)
-    if metric is MetricId.RECIPROCATED_PARTNER_COUNT:
-        return reciprocated_partner_count(net, actor)
-    if metric is MetricId.RECIPROCATED_DENSITY:
-        return reciprocated_density(net, actor)
-    if metric is MetricId.CLOSENESS:
-        return closeness(net, actor, view=view, mode=mode)
-    if metric is MetricId.ECCENTRICITY:
-        return eccentricity(net, actor, view=view, mode=mode)
-    raise ValueError(f"{metric.value} is network-scoped, not actor-scoped")
+    return _row(metric, "actor", view, mode).observe(net, actor, view, mode)[0]
 
 
 @dataclass(frozen=True)
@@ -375,18 +379,8 @@ def observe_network_metric(
     mode: str = "strict",
 ) -> MetricValue:
     """Like :func:`network_metric`, but keeping the natural display ratio."""
-    value = network_metric(net, metric, view=view, mode=mode)
-    ratio: tuple[int, int] | None = None
-    n = net.size
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        if metric is MetricId.DENSITY:
-            ratio = (net.tie_count, n * (n - 1))
-        elif metric is MetricId.RECIPROCATED_TIE_RATIO:
-            ratio = (2 * mutual_pair_count(net), net.tie_count)
-        elif metric is MetricId.AVG_PATH_LENGTH:
-            total, reachable, pairs = _path_sums(net, view == "undirected")
-            ratio = (total, pairs if mode == "strict" else reachable)
-    return MetricValue(metric, None, value, ratio)
+    row = _row(metric, "network", view, mode)
+    return MetricValue(metric, None, *row.observe(net, None, view, mode))
 
 
 def observe_actor_metric(
@@ -398,13 +392,5 @@ def observe_actor_metric(
     mode: str = "strict",
 ) -> MetricValue:
     """Like :func:`actor_metric`, but keeping the natural display ratio."""
-    value = actor_metric(net, metric, actor, view=view, mode=mode)
-    ratio: tuple[int, int] | None = None
-    if isinstance(value, (int, Fraction)):
-        if metric is MetricId.IN_DENSITY:
-            ratio = (in_degree(net, actor), net.size - 1)
-        elif metric is MetricId.OUT_DENSITY:
-            ratio = (out_degree(net, actor), net.size - 1)
-        elif metric is MetricId.RECIPROCATED_DENSITY:
-            ratio = (reciprocated_partner_count(net, actor), neighborhood_size(net, actor))
-    return MetricValue(metric, actor, value, ratio)
+    row = _row(metric, "actor", view, mode)
+    return MetricValue(metric, actor, *row.observe(net, actor, view, mode))

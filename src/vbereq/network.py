@@ -12,6 +12,7 @@ so reports over the same data render identically from run to run.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -32,8 +33,13 @@ def validate_actor_id(actor_id: str) -> str:
         )
     if actor_id.startswith("#"):
         raise NetworkError(f"actor id {actor_id!r} must not start with '#'")
-    if any(ord(ch) < 32 for ch in actor_id):
-        raise NetworkError(f"actor id {actor_id!r} must not contain control characters")
+    # Categories Cc and Cf: control and format characters. Format characters
+    # such as a byte order mark are invisible, so an id carrying one would
+    # print like another actor's id.
+    if any(unicodedata.category(ch) in ("Cc", "Cf") for ch in actor_id):
+        raise NetworkError(
+            f"actor id {actor_id!r} must not contain control or format characters"
+        )
     return actor_id
 
 

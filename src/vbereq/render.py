@@ -12,8 +12,8 @@ import json
 from typing import TYPE_CHECKING
 
 from .metrics import (
+    METRIC_TABLE,
     UNIT_INTERVAL_METRICS,
-    MetricId,
     MetricValue,
     observe_actor_metric,
     observe_network_metric,
@@ -68,6 +68,11 @@ def _metric_value_document(mv: MetricValue) -> dict:
     if mv.metric in UNIT_INTERVAL_METRICS and is_defined(mv.value):
         doc["percent"] = percent_str(mv.value)
     return doc
+
+
+def _json_value(mv: MetricValue):
+    """A plain integer as itself, anything else as a value document."""
+    return mv.value if isinstance(mv.value, int) else _metric_value_document(mv)
 
 
 # -- reports ------------------------------------------------------------------
@@ -164,27 +169,6 @@ def render_report(
 
 # -- metrics ------------------------------------------------------------------
 
-_NETWORK_ROWS = (
-    MetricId.SIZE,
-    MetricId.DENSITY,
-    MetricId.RECIPROCATED_TIE_RATIO,
-    MetricId.AVG_PATH_LENGTH,
-)
-
-_ACTOR_COLUMNS = (
-    MetricId.IN_DEGREE,
-    MetricId.OUT_DEGREE,
-    MetricId.TOTAL_DEGREE,
-    MetricId.IN_DENSITY,
-    MetricId.OUT_DENSITY,
-    MetricId.NEIGHBORHOOD_SIZE,
-    MetricId.RECIPROCATED_PARTNER_COUNT,
-    MetricId.RECIPROCATED_DENSITY,
-    MetricId.CLOSENESS,
-    MetricId.ECCENTRICITY,
-)
-
-
 def render_metrics(
     net: SocialNetwork,
     name: str,
@@ -200,16 +184,18 @@ def render_metrics(
     if format not in ("text", "json"):
         raise ValueError(f"unknown metrics format {format!r} (use text or json)")
     network_values = [
-        observe_network_metric(net, metric, view=view, mode=mode)
-        for metric in _NETWORK_ROWS
+        observe_network_metric(net, row.metric, view=view, mode=mode)
+        for row in METRIC_TABLE
+        if row.scope == "network"
     ]
     reachable = reachable_fraction(net, view=view)
+    columns = [row.metric for row in METRIC_TABLE if row.scope == "actor"]
     actor_rows = [
         (
             actor,
             [
                 observe_actor_metric(net, metric, actor, view=view, mode=mode)
-                for metric in _ACTOR_COLUMNS
+                for metric in columns
             ],
         )
         for actor in net.actors
@@ -218,10 +204,7 @@ def render_metrics(
     if format == "json":
         doc: dict = {"network": name, "view": view, "mode": mode}
         for mv in network_values:
-            if mv.metric is MetricId.SIZE:
-                doc["size"] = mv.value
-            else:
-                doc[mv.metric.value] = _metric_value_document(mv)
+            doc[mv.metric.value] = _json_value(mv)
         doc["reachable_fraction"] = fraction_str(reachable)
         if is_defined(reachable):
             doc["reachable_fraction_decimal"] = decimal_str(reachable)
@@ -229,10 +212,7 @@ def render_metrics(
         for actor, values in actor_rows:
             row: dict = {"id": actor}
             for mv in values:
-                if isinstance(mv.value, int):
-                    row[mv.metric.value] = mv.value
-                else:
-                    row[mv.metric.value] = _metric_value_document(mv)
+                row[mv.metric.value] = _json_value(mv)
             doc["actors"].append(row)
         return (json.dumps(doc, indent=2) + "\n").encode()
 
@@ -240,7 +220,7 @@ def render_metrics(
     for mv in network_values:
         lines.append(f"{mv.metric.value}: {metric_display(mv)}")
     lines.append(f"reachable_fraction: {fraction_str(reachable)}")
-    header = ["actor"] + [m.value for m in _ACTOR_COLUMNS]
+    header = ["actor"] + [m.value for m in columns]
     rows = [header]
     for actor, values in actor_rows:
         cells = [actor]

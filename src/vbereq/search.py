@@ -128,7 +128,6 @@ def search_exhaustive(
     _check_bounds(net, cfg)
     effective = _resolve_anchor(net, reqs, anchor)
     index = {a: i for i, a in enumerate(net.actors)}
-    anchor_arg = effective if reqs.needs_anchor else None
 
     examined = 0
     solutions: list[SubnetworkSolution] = []
@@ -153,7 +152,7 @@ def search_exhaustive(
             report = evaluate(
                 sub,
                 reqs,
-                anchor_arg,
+                effective,
                 parent=net,
                 network_name=_subnet_name(network_name, combo),
                 view=view,
@@ -193,7 +192,6 @@ def search_greedy_peel(
     """
     _check_bounds(net, cfg)
     effective = _resolve_anchor(net, reqs, anchor)
-    anchor_arg = effective if reqs.needs_anchor else None
 
     current = net
     trace: list[str] = []
@@ -201,7 +199,7 @@ def search_greedy_peel(
         report = evaluate(
             current,
             reqs,
-            anchor_arg,
+            effective,
             parent=net,
             network_name=_subnet_name(network_name, current.actors),
             view=view,
@@ -209,9 +207,8 @@ def search_greedy_peel(
         )
         if report.overall and current.size <= cfg.max_size:
             report = replace(report, peel_trace=tuple(trace))
-            sub = current
             return SubnetworkSolution(
-                current.actors, report, _objective_value(cfg, sub)
+                current.actors, report, _objective_value(cfg, current)
             )
         if current.size - 1 < cfg.min_size:
             return None

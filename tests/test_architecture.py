@@ -62,6 +62,24 @@ def test_file_formats_import_neither_evaluation_nor_rendering():
     assert not imported & {"evaluator", "render"}
 
 
+def test_metric_ids_are_dispatched_only_through_the_metric_table():
+    def names_member(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "MetricId"
+
+    compared = [
+        node.lineno
+        for node in ast.walk(MODULES["metrics"])
+        if (
+            isinstance(node, ast.Compare)
+            and any(names_member(n) for n in (node.left, *node.comparators))
+        )
+        or (isinstance(node, ast.MatchValue) and names_member(node.value))
+    ]
+    assert compared == []
+    # The report order is the table's order, so render names no member.
+    assert [n.lineno for n in ast.walk(MODULES["render"]) if names_member(n)] == []
+
+
 def test_no_import_cycles():
     graph = {
         name: {module for module, _ in _imports(tree, runtime_only=True)}

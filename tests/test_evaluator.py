@@ -129,6 +129,14 @@ class TestWholesalerEvaluation:
         with pytest.raises(EvaluationError, match="parent"):
             evaluate(other, wholesaler_reqs, anchor="X", parent=wholesale)
 
+    def test_parent_must_induce_the_ties(self):
+        parent = SocialNetwork(("A", "B", "C"), frozenset({("A", "B"), ("B", "C")}))
+        empty = RequirementSet("empty", ())
+        for ties in (set(), {("A", "B"), ("B", "A")}):
+            with pytest.raises(EvaluationError, match="induces"):
+                evaluate(SocialNetwork(("A", "B"), frozenset(ties)), empty, parent=parent)
+        assert evaluate(parent.induced(("A", "B")), empty, parent=parent).overall
+
 
 class TestVerdictShapes:
     def test_empty_set_is_vacuously_true(self, steel10):

@@ -65,6 +65,13 @@ class TestMatrixFormat:
         with pytest.raises(FormatError, match="unknown row actor"):
             parse_matrix_csv(",A,B\nA,X,0\nC,0,X\n")
 
+    @pytest.mark.parametrize(
+        "text", ["\ufeff,A,B\nA,X,0\nB,0,X\n", "\ufeffA,B\nA,X,0\nB,0,X\n"]
+    )
+    def test_byte_order_mark_is_a_located_error(self, text):
+        with pytest.raises(FormatError, match="line 1: .*format characters"):
+            parse_matrix_csv(text)
+
     def test_missing_row(self):
         with pytest.raises(FormatError, match="expected 2 matrix rows"):
             parse_matrix_csv(",A,B\nA,X,0\n")
@@ -117,6 +124,10 @@ class TestEdgeListFormat:
     def test_empty_file(self):
         with pytest.raises(FormatError, match="empty"):
             parse_edge_list("# nothing\n")
+
+    def test_byte_order_mark_is_a_located_error(self):
+        with pytest.raises(FormatError, match="line 1: .*format characters"):
+            parse_edge_list("\ufeffA,B\nB,A\n")
 
     def test_duplicate_preamble_id(self):
         with pytest.raises(FormatError, match="duplicate"):

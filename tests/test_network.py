@@ -40,7 +40,9 @@ class TestConstruction:
             net("AB", {("A", "A")})
 
     @pytest.mark.parametrize(
-        "bad", ["", "a,b", " a", "a ", "#x", "a:b", "a\nb", 7]
+        "bad",
+        ["", "a,b", " a", "a ", "#x", "a:b", "a\nb", 7,
+         "\ufeffA", "A\u200bB", "A\xadB", "A\x7fB"],
     )
     def test_bad_actor_ids_rejected(self, bad):
         with pytest.raises(NetworkError):

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vbereq import (
@@ -26,6 +27,8 @@ from vbereq import (
     evaluate,
     explain,
     network_metric,
+    observe_actor_metric,
+    observe_network_metric,
     parse_edge_list,
     parse_matrix_csv,
     parse_requirements,
@@ -37,7 +40,14 @@ from vbereq import (
     SearchConfig,
     is_defined,
 )
-from vbereq.metrics import ACTOR_METRICS, UNIT_INTERVAL_METRICS
+from vbereq.metrics import (
+    ACTOR_METRICS,
+    METRIC_TABLE,
+    MODES,
+    NETWORK_METRICS,
+    UNIT_INTERVAL_METRICS,
+    VIEWS,
+)
 
 ACTORS = tuple("ABCDEFGHIJ")
 
@@ -200,6 +210,56 @@ class TestMetricInvariants:
                 == actor_metric(sym, MetricId.OUT_DEGREE, a)
                 == actor_metric(net, MetricId.NEIGHBORHOOD_SIZE, a)
             )
+
+
+def _lookups(metric, net, actor):
+    """(plain, observe) lookups in ``metric``'s own scope, then in the other."""
+    network = [
+        lambda **kw: network_metric(net, metric, **kw),
+        lambda **kw: observe_network_metric(net, metric, **kw),
+    ]
+    actor_scope = [
+        lambda **kw: actor_metric(net, metric, actor, **kw),
+        lambda **kw: observe_actor_metric(net, metric, actor, **kw),
+    ]
+    if metric in NETWORK_METRICS:
+        return network, actor_scope
+    return actor_scope, network
+
+
+class TestMetricTable:
+    def test_one_row_per_metric_and_scopes_split_the_ids(self):
+        assert sorted(r.metric.value for r in METRIC_TABLE) == sorted(
+            m.value for m in MetricId
+        )
+        assert NETWORK_METRICS | ACTOR_METRICS == set(MetricId)
+        assert not NETWORK_METRICS & ACTOR_METRICS
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        networks(),
+        st.integers(0, len(ACTORS) - 1),
+        st.sampled_from(VIEWS),
+        st.sampled_from(MODES),
+    )
+    def test_lookups_agree_in_every_view_and_mode(self, net, pick, view, mode):
+        actor = net.actors[pick % net.size]
+        for metric in MetricId:
+            own, other = _lookups(metric, net, actor)
+            value, observed = (lookup(view=view, mode=mode) for lookup in own)
+            assert observed.metric is metric
+            assert observed.actor == (None if metric in NETWORK_METRICS else actor)
+            assert observed.value == value
+            if observed.ratio is not None:
+                assert Fraction(*observed.ratio) == value
+            for lookup in other:
+                with pytest.raises(ValueError, match="-scoped, not "):
+                    lookup(view=view, mode=mode)
+            for lookup in own:
+                with pytest.raises(ValueError, match="view"):
+                    lookup(view="bogus", mode=mode)
+                with pytest.raises(ValueError, match="mode"):
+                    lookup(view=view, mode="bogus")
 
 
 class TestRoundTrips:
