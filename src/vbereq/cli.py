@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -307,8 +306,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         doc = _solution_document(best, cfg.objective, alternatives)
         _emit((json.dumps(doc, indent=2) + "\n").encode())
     else:
-        value = best.objective_value
-        value_text = str(value) if isinstance(value, int) else fraction_str(value)
+        value_text = fraction_str(best.objective_value)
         _emit(
             f"solution: {', '.join(best.actors)} "
             f"({cfg.objective}={value_text}, {alternatives} alternatives)\n".encode()

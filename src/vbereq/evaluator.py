@@ -29,7 +29,7 @@ from .metrics import (
 )
 from .network import SocialNetwork
 from .render import metric_display
-from .reqtext import render_count_bound, render_literal, render_predicate
+from .reqtext import render_literal, render_predicate
 from .requirements import (
     And,
     Atom,
@@ -227,7 +227,9 @@ def _count_verdict(
     bound_value = body.bound * net.size if body.fraction_of_size else body.bound
     satisfied = body.cmp.holds(count, bound_value)
     pred_text = render_predicate(body.predicate)
-    bound_text = render_count_bound(body) + (" of size" if body.fraction_of_size else "")
+    bound_text = render_literal(body.bound, body.fraction_of_size)
+    if body.fraction_of_size:
+        bound_text += " of size"
     detail = (
         f"{count} of {net.size} actors satisfy ({pred_text}); "
         f"required {body.cmp.value} {bound_text}"

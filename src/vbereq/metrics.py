@@ -16,6 +16,10 @@ a direction. Unreachability handling is selected by ``mode``:
 * ``"lenient"``: path aggregates are restricted to the reachable pairs,
   and :func:`reachable_fraction` reports how much of the network that is.
 
+Path metrics read :meth:`SocialNetwork.distances`, which each network
+computes once per view and keeps for its own lifetime; this module holds no
+state of its own.
+
 Ratios are reduced by ``Fraction``, so alongside each value the observe
 helpers keep the natural unreduced counts (51 ties over 90 ordered pairs
 stays ``51/90`` in reports, not ``17/30``).
@@ -26,17 +30,15 @@ holds its scope (network or actor), whether its range is [0, 1], and an
 same counts. :func:`network_metric`, :func:`actor_metric` and the
 ``observe_*`` helpers are lookups in that table, ``NETWORK_METRICS``,
 ``ACTOR_METRICS`` and ``UNIT_INTERVAL_METRICS`` are derived from it, and
-its order is the order of the metrics report. Adding a metric takes one
-``MetricId`` member and one row.
+its order is the order of the metrics report. They are the only way to a
+metric's value; adding a metric takes one ``MetricId`` member and one row.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .network import SocialNetwork
@@ -81,84 +83,20 @@ def _ratio(num: int, den: int) -> Observation:
     return Fraction(num, den), (num, den)
 
 
-# -- plain structure ------------------------------------------------------
+# -- counts that need a set operation or a scan ----------------------------
 
 
-def size(net: SocialNetwork) -> int:
-    return net.size
-
-
-def density(net: SocialNetwork) -> MetricResult:
-    """Ties over ordered actor pairs; UNDEFINED below two actors."""
-    return network_metric(net, MetricId.DENSITY)
-
-
-def out_degree(net: SocialNetwork, actor: str) -> int:
-    return len(net.out_neighbors(actor))
-
-
-def in_degree(net: SocialNetwork, actor: str) -> int:
-    return len(net.in_neighbors(actor))
-
-
-def total_degree(net: SocialNetwork, actor: str) -> int:
-    return out_degree(net, actor) + in_degree(net, actor)
-
-
-def out_density(net: SocialNetwork, actor: str) -> MetricResult:
-    """Out-degree over the other actors; UNDEFINED below two actors."""
-    return actor_metric(net, MetricId.OUT_DENSITY, actor)
-
-
-def in_density(net: SocialNetwork, actor: str) -> MetricResult:
-    """In-degree over the other actors; UNDEFINED below two actors."""
-    return actor_metric(net, MetricId.IN_DENSITY, actor)
-
-
-def neighborhood_size(net: SocialNetwork, actor: str) -> int:
-    """Number of actors tied with ``actor`` in either direction."""
-    return len(net.neighbors(actor))
-
-
-def reciprocated_partner_count(net: SocialNetwork, actor: str) -> int:
+def _reciprocated_partners(net: SocialNetwork, actor: str) -> int:
     """Partners tied with ``actor`` in both directions."""
     return len(net.out_neighbors(actor) & net.in_neighbors(actor))
 
 
-def reciprocated_density(net: SocialNetwork, actor: str) -> MetricResult:
-    """Reciprocated partners over neighborhood size; UNDEFINED for isolates."""
-    return actor_metric(net, MetricId.RECIPROCATED_DENSITY, actor)
-
-
-def mutual_pair_count(net: SocialNetwork) -> int:
+def _mutual_pairs(net: SocialNetwork) -> int:
     """Unordered actor pairs tied in both directions."""
     return sum(1 for a, b in net.ties if a < b and (b, a) in net.ties)
 
 
-def reciprocated_tie_ratio(net: SocialNetwork) -> MetricResult:
-    """Share of ties that are part of a mutual pair; UNDEFINED with no ties."""
-    return network_metric(net, MetricId.RECIPROCATED_TIE_RATIO)
-
-
 # -- paths ----------------------------------------------------------------
-
-
-@lru_cache(maxsize=1024)
-def _distance_table(net: SocialNetwork, undirected: bool) -> dict[str, dict[str, int]]:
-    """All-pairs BFS hop counts; absent target means unreachable."""
-    source = net.symmetrized() if undirected else net
-    table: dict[str, dict[str, int]] = {}
-    for start in source.actors:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nxt in source.out_neighbors(node):
-                if nxt not in dist:
-                    dist[nxt] = dist[node] + 1
-                    queue.append(nxt)
-        table[start] = dist
-    return table
 
 
 def shortest_path_length(
@@ -168,7 +106,7 @@ def shortest_path_length(
     _check_view(view)
     net.require_actor(sender)
     net.require_actor(receiver)
-    found = _distance_table(net, view == "undirected")[sender].get(receiver)
+    found = net.distances(view == "undirected")[sender].get(receiver)
     return UNREACHABLE if found is None else found
 
 
@@ -178,7 +116,7 @@ def _hops(net: SocialNetwork, actor: str, view: str, mode: str) -> list[int] | N
     None in strict mode when some other actor cannot be reached.
     """
     net.require_actor(actor)
-    dist = _distance_table(net, view == "undirected")[actor]
+    dist = net.distances(view == "undirected")[actor]
     hops = [h for other, h in dist.items() if other != actor]
     if mode == "strict" and len(hops) < net.size - 1:
         return None
@@ -188,6 +126,8 @@ def _hops(net: SocialNetwork, actor: str, view: str, mode: str) -> list[int] | N
 def _observe_eccentricity(
     net: SocialNetwork, actor: str, view: str, mode: str
 ) -> Observation:
+    """Greatest distance to another actor, 0 when alone; lenient mode maxes
+    over the reachable ones and is UNDEFINED when there are none."""
     hops = _hops(net, actor, view, mode)
     if hops is None:
         return UNREACHABLE, None
@@ -197,37 +137,16 @@ def _observe_eccentricity(
 def _observe_closeness(
     net: SocialNetwork, actor: str, view: str, mode: str
 ) -> Observation:
+    """Reciprocal of the summed distances to the others; UNDEFINED when
+    there are none, or in strict mode when any is unreachable."""
     hops = _hops(net, actor, view, mode)
     return (Fraction(1, sum(hops)) if hops else UNDEFINED), None
-
-
-def eccentricity(
-    net: SocialNetwork, actor: str, *, view: str = "directed", mode: str = "strict"
-) -> MetricResult:
-    """Greatest shortest-path distance from ``actor`` to any other actor.
-
-    A single-actor network has eccentricity 0. Strict mode returns
-    UNREACHABLE when any other actor cannot be reached; lenient mode maxes
-    over the reachable ones and is UNDEFINED only when there are none.
-    """
-    return actor_metric(net, MetricId.ECCENTRICITY, actor, view=view, mode=mode)
-
-
-def closeness(
-    net: SocialNetwork, actor: str, *, view: str = "directed", mode: str = "strict"
-) -> MetricResult:
-    """Reciprocal of the summed distances from ``actor`` to the others.
-
-    UNDEFINED for a single-actor network, in strict mode when anyone is
-    unreachable, and in lenient mode when everyone is.
-    """
-    return actor_metric(net, MetricId.CLOSENESS, actor, view=view, mode=mode)
 
 
 def _path_sums(net: SocialNetwork, undirected: bool) -> tuple[int, int, int]:
     """(sum over reachable ordered pairs, reachable pair count, pair count)."""
     total = reachable = 0
-    for dist in _distance_table(net, undirected).values():
+    for dist in net.distances(undirected).values():
         total += sum(dist.values())
         reachable += len(dist) - 1
     return total, reachable, net.size * (net.size - 1)
@@ -236,21 +155,12 @@ def _path_sums(net: SocialNetwork, undirected: bool) -> tuple[int, int, int]:
 def _observe_avg_path_length(
     net: SocialNetwork, actor: None, view: str, mode: str
 ) -> Observation:
+    """Mean distance over the reachable ordered pairs; UNDEFINED when there
+    are none, or in strict mode when any pair is unreachable."""
     total, reachable, pairs = _path_sums(net, view == "undirected")
     if mode == "strict" and reachable < pairs:
         return UNDEFINED, None
     return _ratio(total, reachable)
-
-
-def avg_path_length(
-    net: SocialNetwork, *, view: str = "directed", mode: str = "strict"
-) -> MetricResult:
-    """Mean shortest-path distance over ordered actor pairs.
-
-    UNDEFINED below two actors, in strict mode when any pair is
-    unreachable, and in lenient mode when every pair is.
-    """
-    return network_metric(net, MetricId.AVG_PATH_LENGTH, view=view, mode=mode)
 
 
 def reachable_fraction(
@@ -287,26 +197,27 @@ METRIC_TABLE = (
     MetricRow(MetricId.DENSITY, "network", True,
               lambda net, *_: _ratio(net.tie_count, net.size * (net.size - 1))),
     MetricRow(MetricId.RECIPROCATED_TIE_RATIO, "network", True,
-              lambda net, *_: _ratio(2 * mutual_pair_count(net), net.tie_count)),
+              lambda net, *_: _ratio(2 * _mutual_pairs(net), net.tie_count)),
     MetricRow(MetricId.AVG_PATH_LENGTH, "network", False,
               _observe_avg_path_length),
     MetricRow(MetricId.IN_DEGREE, "actor", False,
-              lambda net, a, *_: (in_degree(net, a), None)),
+              lambda net, a, *_: (len(net.in_neighbors(a)), None)),
     MetricRow(MetricId.OUT_DEGREE, "actor", False,
-              lambda net, a, *_: (out_degree(net, a), None)),
+              lambda net, a, *_: (len(net.out_neighbors(a)), None)),
     MetricRow(MetricId.TOTAL_DEGREE, "actor", False,
-              lambda net, a, *_: (total_degree(net, a), None)),
+              lambda net, a, *_: (
+                  len(net.in_neighbors(a)) + len(net.out_neighbors(a)), None)),
     MetricRow(MetricId.IN_DENSITY, "actor", True,
-              lambda net, a, *_: _ratio(in_degree(net, a), net.size - 1)),
+              lambda net, a, *_: _ratio(len(net.in_neighbors(a)), net.size - 1)),
     MetricRow(MetricId.OUT_DENSITY, "actor", True,
-              lambda net, a, *_: _ratio(out_degree(net, a), net.size - 1)),
+              lambda net, a, *_: _ratio(len(net.out_neighbors(a)), net.size - 1)),
     MetricRow(MetricId.NEIGHBORHOOD_SIZE, "actor", False,
-              lambda net, a, *_: (neighborhood_size(net, a), None)),
+              lambda net, a, *_: (len(net.neighbors(a)), None)),
     MetricRow(MetricId.RECIPROCATED_PARTNER_COUNT, "actor", False,
-              lambda net, a, *_: (reciprocated_partner_count(net, a), None)),
+              lambda net, a, *_: (_reciprocated_partners(net, a), None)),
     MetricRow(MetricId.RECIPROCATED_DENSITY, "actor", True,
               lambda net, a, *_: _ratio(
-                  reciprocated_partner_count(net, a), neighborhood_size(net, a))),
+                  _reciprocated_partners(net, a), len(net.neighbors(a)))),
     MetricRow(MetricId.CLOSENESS, "actor", False, _observe_closeness),
     MetricRow(MetricId.ECCENTRICITY, "actor", False, _observe_eccentricity),
 )
@@ -323,8 +234,7 @@ UNIT_INTERVAL_METRICS = frozenset(r.metric for r in METRIC_TABLE if r.unit_inter
 
 def _row(metric: MetricId, scope: str, view: str, mode: str) -> MetricRow:
     """The table row of ``metric``, after the checks every lookup shares."""
-    if view not in VIEWS:
-        raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
+    _check_view(view)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     row = _ROWS[metric]

@@ -3,8 +3,8 @@
 A network is a set of actors plus a set of ordered ties; a tie ``(a, b)``
 reads "a sends information to b". There are no tie weights, no self-ties,
 and no parallel ties. Networks are immutable: derivations return a new
-network, which makes instances safe to hash and to use as cache keys for
-derived tables.
+network, so instances are safe to hash. Each network memoizes its own
+all-pairs distance tables, which live and die with it.
 
 Actor order is the insertion order and every derived network preserves it,
 so reports over the same data render identically from run to run.
@@ -13,6 +13,7 @@ so reports over the same data render identically from run to run.
 from __future__ import annotations
 
 import unicodedata
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -55,6 +56,9 @@ class SocialNetwork:
     ties: frozenset[tuple[str, str]] = frozenset()
     _out: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     _in: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    _distances: dict[bool, dict[str, dict[str, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         actors = tuple(self.actors)
@@ -117,6 +121,30 @@ class SocialNetwork:
         """Actors tied with ``actor_id`` in either direction."""
         self.require_actor(actor_id)
         return self._out[actor_id] | self._in[actor_id]
+
+    def distances(self, undirected: bool = False) -> dict[str, dict[str, int]]:
+        """All-pairs BFS hop counts, ``table[sender][receiver]``.
+
+        A receiver absent from ``table[sender]`` is unreachable from it. With
+        ``undirected`` the hops are counted on :meth:`symmetrized`. The table
+        is computed once per network and view; treat it as read-only.
+        """
+        table = self._distances.get(undirected)
+        if table is None:
+            source = self.symmetrized() if undirected else self
+            table = {}
+            for start in source.actors:
+                dist = {start: 0}
+                queue = deque([start])
+                while queue:
+                    node = queue.popleft()
+                    for nxt in source._out[node]:
+                        if nxt not in dist:
+                            dist[nxt] = dist[node] + 1
+                            queue.append(nxt)
+                table[start] = dist
+            self._distances[undirected] = table
+        return table
 
     # -- derivations -----------------------------------------------------
 

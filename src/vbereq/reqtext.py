@@ -178,8 +178,12 @@ class _LineParser:
         token = self.next("number", "a number")
         try:
             value, was_percent = _parse_number(token.text)
+            str(value)  # rendering must be able to write the value back
         except ZeroDivisionError:
             raise self.error("zero denominator", token) from None
+        except ValueError:
+            # Python refuses int <-> str conversions past a digit limit.
+            raise self.error("number has too many digits", token) from None
         return value, was_percent, token
 
     def metric(self, scope: frozenset[MetricId], scope_word: str) -> MetricId:
@@ -463,16 +467,6 @@ def render_predicate(pred) -> str:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def render_count_bound(body: CountActors) -> str:
-    if body.fraction_of_size:
-        frac = Fraction(body.bound)
-        scaled = frac * 100
-        if scaled.denominator == 1:
-            return f"{scaled.numerator}%"
-        return f"{frac.numerator}/{frac.denominator}"
-    return str(body.bound)
-
-
 def render_body(body) -> str:
     if isinstance(body, NetworkConstraint):
         literal = render_literal(
@@ -485,7 +479,7 @@ def render_body(body) -> str:
     if isinstance(body, CountActors):
         return (
             f"count actor ({render_predicate(body.predicate)}) "
-            f"{body.cmp.value} {render_count_bound(body)}"
+            f"{body.cmp.value} {render_literal(body.bound, body.fraction_of_size)}"
         )
     if isinstance(body, PairwisePath):
         return f"path {body.between.value} {body.cmp.value} {body.threshold}"

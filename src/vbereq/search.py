@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .evaluator import EvaluationReport, evaluate
-from .metrics import density, total_degree
+from .metrics import MetricId, actor_metric, network_metric
 from .network import SocialNetwork
 from .requirements import RequirementSet
 
@@ -92,7 +92,7 @@ def _resolve_anchor(
 
 def _objective_value(cfg: SearchConfig, sub: SocialNetwork) -> int | Fraction:
     if cfg.objective == "density":
-        value = density(sub)
+        value = network_metric(sub, MetricId.DENSITY)
         return value if isinstance(value, (int, Fraction)) else Fraction(0)
     return sub.size
 
@@ -225,7 +225,7 @@ def search_greedy_peel(
             candidates,
             key=lambda a: (
                 scores.get(a, 0),
-                -total_degree(current, a),
+                -actor_metric(current, MetricId.TOTAL_DEGREE, a),
                 -current.actors.index(a),
             ),
         )

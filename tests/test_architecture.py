@@ -80,6 +80,41 @@ def test_metric_ids_are_dispatched_only_through_the_metric_table():
     assert [n.lineno for n in ast.walk(MODULES["render"]) if names_member(n)] == []
 
 
+def test_no_function_caches_process_wide_state():
+    cached = [
+        f"{name}:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and {a.name for a in node.names} & {"cache", "lru_cache"}
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("cache", "lru_cache")
+            and getattr(node.value, "id", "") == "functools"
+        )
+    ]
+    assert cached == []
+
+
+def test_metrics_are_reached_only_through_the_table_lookups():
+    public = {
+        node.name
+        for node in MODULES["metrics"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public == {
+        "network_metric",
+        "actor_metric",
+        "observe_network_metric",
+        "observe_actor_metric",
+        "shortest_path_length",
+        "reachable_fraction",
+    }
+
+
 def test_no_import_cycles():
     graph = {
         name: {module for module, _ in _imports(tree, runtime_only=True)}

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, output formats."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,18 @@ class TestCheckCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 1" in err and "%" in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no integer digit limit",
+    )
+    def test_over_long_number_is_a_syntax_error(self, tmp_path, capsys):
+        digits = sys.get_int_max_str_digits() + 700
+        bad = tmp_path / "long.req"
+        bad.write_text(f"require a : size >= {'9' * digits}\n")
+        rc = main(["check", "--network", STEEL_CSV, "--requirements", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 1")
 
 
 class TestByteOrderMark:

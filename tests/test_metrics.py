@@ -4,25 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from vbereq import MetricId, SocialNetwork, observe_actor_metric, observe_network_metric
-from vbereq.metrics import (
-    avg_path_length,
-    closeness,
-    density,
-    eccentricity,
-    in_degree,
-    in_density,
-    mutual_pair_count,
-    neighborhood_size,
-    out_degree,
-    out_density,
-    reachable_fraction,
-    reciprocated_density,
-    reciprocated_partner_count,
-    reciprocated_tie_ratio,
-    shortest_path_length,
-    total_degree,
+from vbereq import (
+    MetricId,
+    SocialNetwork,
+    actor_metric,
+    network_metric,
+    observe_actor_metric,
+    observe_network_metric,
 )
+from vbereq.metrics import reachable_fraction, shortest_path_length
 from vbereq.values import UNDEFINED, UNREACHABLE
 
 # Frozen from the bundled ten-firm matrix, verified against independent
@@ -41,93 +31,109 @@ class TestSteel10Frozen:
         assert steel10.tie_count == 51
 
     def test_density(self, steel10):
-        assert density(steel10) == Fraction(51, 90)
+        assert network_metric(steel10, MetricId.DENSITY) == Fraction(51, 90)
 
     def test_degrees(self, steel10):
         for actor in steel10:
-            assert out_degree(steel10, actor) == OUT_DEGREES[actor]
-            assert in_degree(steel10, actor) == IN_DEGREES[actor]
-            assert total_degree(steel10, actor) == OUT_DEGREES[actor] + IN_DEGREES[actor]
+            assert actor_metric(steel10, MetricId.OUT_DEGREE, actor) == OUT_DEGREES[actor]
+            assert actor_metric(steel10, MetricId.IN_DEGREE, actor) == IN_DEGREES[actor]
+            assert (
+                actor_metric(steel10, MetricId.TOTAL_DEGREE, actor)
+                == OUT_DEGREES[actor] + IN_DEGREES[actor]
+            )
 
     def test_densities(self, steel10):
         for actor in steel10:
-            assert out_density(steel10, actor) == Fraction(OUT_DEGREES[actor], 9)
-            assert in_density(steel10, actor) == Fraction(IN_DEGREES[actor], 9)
+            out_density = actor_metric(steel10, MetricId.OUT_DENSITY, actor)
+            in_density = actor_metric(steel10, MetricId.IN_DENSITY, actor)
+            assert out_density == Fraction(OUT_DEGREES[actor], 9)
+            assert in_density == Fraction(IN_DEGREES[actor], 9)
 
     def test_neighborhoods(self, steel10):
         for actor in steel10:
-            assert neighborhood_size(steel10, actor) == NEIGHBORHOODS[actor]
+            neighborhood = actor_metric(steel10, MetricId.NEIGHBORHOOD_SIZE, actor)
+            assert neighborhood == NEIGHBORHOODS[actor]
 
     def test_reciprocated(self, steel10):
         for actor in steel10:
-            assert reciprocated_partner_count(steel10, actor) == RECIP_COUNTS[actor]
-            assert reciprocated_density(steel10, actor) == Fraction(
+            partners = actor_metric(steel10, MetricId.RECIPROCATED_PARTNER_COUNT, actor)
+            assert partners == RECIP_COUNTS[actor]
+            assert actor_metric(steel10, MetricId.RECIPROCATED_DENSITY, actor) == Fraction(
                 RECIP_COUNTS[actor], NEIGHBORHOODS[actor]
             )
-        assert mutual_pair_count(steel10) == 17
-        assert reciprocated_tie_ratio(steel10) == Fraction(34, 51)
+        # 17 mutual pairs make 34 of the 51 ties reciprocated.
+        mv = observe_network_metric(steel10, MetricId.RECIPROCATED_TIE_RATIO)
+        assert mv.value == Fraction(34, 51)
+        assert mv.ratio == (2 * 17, 51)
 
     def test_paths_directed(self, steel10):
         assert shortest_path_length(steel10, "A", "F") == 3
         assert shortest_path_length(steel10, "A", "A") == 0
         for actor in steel10:
-            assert eccentricity(steel10, actor) == ECCENTRICITIES[actor]
-            assert closeness(steel10, actor) == Fraction(1, CLOSENESS_DENOMS[actor])
-        assert avg_path_length(steel10) == Fraction(134, 90)
+            assert actor_metric(steel10, MetricId.ECCENTRICITY, actor) == ECCENTRICITIES[actor]
+            closeness = actor_metric(steel10, MetricId.CLOSENESS, actor)
+            assert closeness == Fraction(1, CLOSENESS_DENOMS[actor])
+        assert network_metric(steel10, MetricId.AVG_PATH_LENGTH) == Fraction(134, 90)
         assert reachable_fraction(steel10) == 1
 
     def test_paths_undirected(self, steel10):
         assert shortest_path_length(steel10, "A", "F", view="undirected") == 2
         for actor in steel10:
-            assert eccentricity(steel10, actor, view="undirected") <= 2
-        assert eccentricity(steel10, "E", view="undirected") == 1
-        assert eccentricity(steel10, "G", view="undirected") == 1
-        assert avg_path_length(steel10, view="undirected") == Fraction(112, 90)
+            eccentricity = actor_metric(
+                steel10, MetricId.ECCENTRICITY, actor, view="undirected"
+            )
+            assert eccentricity <= 2
+        assert actor_metric(steel10, MetricId.ECCENTRICITY, "E", view="undirected") == 1
+        assert actor_metric(steel10, MetricId.ECCENTRICITY, "G", view="undirected") == 1
+        avg_path_length = network_metric(
+            steel10, MetricId.AVG_PATH_LENGTH, view="undirected"
+        )
+        assert avg_path_length == Fraction(112, 90)
 
 
 class TestDegenerateValues:
     def test_singleton(self):
         one = SocialNetwork(("A",))
-        assert density(one) is UNDEFINED
-        assert in_density(one, "A") is UNDEFINED
-        assert out_density(one, "A") is UNDEFINED
-        assert reciprocated_density(one, "A") is UNDEFINED
-        assert reciprocated_tie_ratio(one) is UNDEFINED
-        assert avg_path_length(one) is UNDEFINED
+        assert network_metric(one, MetricId.DENSITY) is UNDEFINED
+        assert actor_metric(one, MetricId.IN_DENSITY, "A") is UNDEFINED
+        assert actor_metric(one, MetricId.OUT_DENSITY, "A") is UNDEFINED
+        assert actor_metric(one, MetricId.RECIPROCATED_DENSITY, "A") is UNDEFINED
+        assert network_metric(one, MetricId.RECIPROCATED_TIE_RATIO) is UNDEFINED
+        assert network_metric(one, MetricId.AVG_PATH_LENGTH) is UNDEFINED
         assert reachable_fraction(one) is UNDEFINED
-        assert eccentricity(one, "A") == 0
-        assert closeness(one, "A") is UNDEFINED
+        assert actor_metric(one, MetricId.ECCENTRICITY, "A") == 0
+        assert actor_metric(one, MetricId.CLOSENESS, "A") is UNDEFINED
 
     def test_no_ties(self):
         n = SocialNetwork(("A", "B"))
-        assert density(n) == 0
-        assert reciprocated_tie_ratio(n) is UNDEFINED
-        assert reciprocated_density(n, "A") is UNDEFINED
+        assert network_metric(n, MetricId.DENSITY) == 0
+        assert network_metric(n, MetricId.RECIPROCATED_TIE_RATIO) is UNDEFINED
+        assert actor_metric(n, MetricId.RECIPROCATED_DENSITY, "A") is UNDEFINED
         assert shortest_path_length(n, "A", "B") is UNREACHABLE
-        assert eccentricity(n, "A") is UNREACHABLE
-        assert eccentricity(n, "A", mode="lenient") is UNDEFINED
-        assert closeness(n, "A") is UNDEFINED
-        assert closeness(n, "A", mode="lenient") is UNDEFINED
-        assert avg_path_length(n) is UNDEFINED
-        assert avg_path_length(n, mode="lenient") is UNDEFINED
+        assert actor_metric(n, MetricId.ECCENTRICITY, "A") is UNREACHABLE
+        assert actor_metric(n, MetricId.ECCENTRICITY, "A", mode="lenient") is UNDEFINED
+        assert actor_metric(n, MetricId.CLOSENESS, "A") is UNDEFINED
+        assert actor_metric(n, MetricId.CLOSENESS, "A", mode="lenient") is UNDEFINED
+        assert network_metric(n, MetricId.AVG_PATH_LENGTH) is UNDEFINED
+        assert network_metric(n, MetricId.AVG_PATH_LENGTH, mode="lenient") is UNDEFINED
         assert reachable_fraction(n) == 0
 
     def test_partial_reachability(self):
         n = SocialNetwork(("A", "B", "C"), frozenset({("A", "B")}))
-        assert eccentricity(n, "A") is UNREACHABLE
-        assert eccentricity(n, "A", mode="lenient") == 1
-        assert closeness(n, "A") is UNDEFINED
-        assert closeness(n, "A", mode="lenient") == 1
-        assert avg_path_length(n) is UNDEFINED
-        assert avg_path_length(n, mode="lenient") == 1
+        assert actor_metric(n, MetricId.ECCENTRICITY, "A") is UNREACHABLE
+        assert actor_metric(n, MetricId.ECCENTRICITY, "A", mode="lenient") == 1
+        assert actor_metric(n, MetricId.CLOSENESS, "A") is UNDEFINED
+        assert actor_metric(n, MetricId.CLOSENESS, "A", mode="lenient") == 1
+        assert network_metric(n, MetricId.AVG_PATH_LENGTH) is UNDEFINED
+        assert network_metric(n, MetricId.AVG_PATH_LENGTH, mode="lenient") == 1
         assert reachable_fraction(n) == Fraction(1, 6)
         assert reachable_fraction(n, view="undirected") == Fraction(2, 6)
 
     def test_bad_view_and_mode(self, steel10):
         with pytest.raises(ValueError, match="view"):
-            eccentricity(steel10, "A", view="sideways")
+            actor_metric(steel10, MetricId.ECCENTRICITY, "A", view="sideways")
         with pytest.raises(ValueError, match="mode"):
-            closeness(steel10, "A", mode="forgiving")
+            actor_metric(steel10, MetricId.CLOSENESS, "A", mode="forgiving")
 
 
 class TestObservations:

@@ -92,3 +92,22 @@ class TestDerivations:
         s = n.symmetrized()
         assert s.ties == {("A", "B"), ("B", "A")}
         assert s.symmetrized() is s
+
+
+class TestDistances:
+    def test_hop_tables_per_view(self):
+        n = net("ABC", {("A", "B"), ("B", "C")})
+        assert n.distances() == {
+            "A": {"A": 0, "B": 1, "C": 2},
+            "B": {"B": 0, "C": 1},
+            "C": {"C": 0},
+        }
+        assert n.distances(undirected=True)["C"] == {"C": 0, "B": 1, "A": 2}
+
+    def test_memoized_per_network_without_changing_equality(self):
+        n = net("AB", {("A", "B")})
+        twin = net("AB", {("A", "B")})
+        assert n.distances() is n.distances()
+        assert n.distances(undirected=True) is n.distances(undirected=True)
+        assert n == twin and hash(n) == hash(twin)
+        assert repr(n) == repr(twin)

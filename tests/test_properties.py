@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vbereq import (
     AnchorDesignation,
@@ -14,6 +14,7 @@ from vbereq import (
     Comparator,
     CountActors,
     ForAllActors,
+    FormatError,
     MetricId,
     NetworkConstraint,
     Not,
@@ -22,6 +23,7 @@ from vbereq import (
     PathScope,
     Requirement,
     RequirementSet,
+    RequirementSyntaxError,
     SocialNetwork,
     actor_metric,
     evaluate,
@@ -287,6 +289,53 @@ class TestRoundTrips:
         reparsed = parse_requirements(text)
         assert reparsed == reqs
         assert serialize_requirements(reparsed) == text
+
+
+@st.composite
+def edited(draw, valid_texts):
+    """A valid text with up to three short stretches replaced by any text."""
+    text = draw(valid_texts)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 3)))
+        text = text[:start] + draw(st.text(max_size=3)) + text[end:]
+    return text
+
+
+class TestParsersOnArbitraryText:
+    """Any text, or a valid file with a few edits, either parses to a value
+    that round-trips or fails with the parser's own error type; no other
+    exception escapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), edited(networks().map(serialize_edge_list))), st.booleans())
+    def test_edge_list(self, text, symmetric):
+        try:
+            net = parse_edge_list(text, symmetric=symmetric)
+        except FormatError:
+            return
+        again = serialize_edge_list(net, symmetric=symmetric)
+        assert parse_edge_list(again, symmetric=symmetric) == net
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), edited(networks().map(serialize_matrix_csv))))
+    def test_matrix(self, text):
+        try:
+            net = parse_matrix_csv(text)
+        except FormatError:
+            return
+        assert parse_matrix_csv(serialize_matrix_csv(net)) == net
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(), edited(requirement_sets().map(serialize_requirements))))
+    @example("require a : size >= " + "9" * 5000)
+    @example("require a : density >= 1/" + "9" * 5000)
+    def test_requirements(self, text):
+        try:
+            reqs = parse_requirements(text)
+        except RequirementSyntaxError:
+            return
+        assert parse_requirements(serialize_requirements(reqs)) == reqs
 
 
 class TestEvaluationInvariants:

@@ -1,5 +1,6 @@
 """The line-oriented requirements grammar: parsing, errors, canonical form."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,11 @@ from vbereq import (
     template_steel_vbe,
     template_wholesaler,
 )
+
+# Python refuses int <-> str conversions of more digits than this; 0 means
+# the interpreter sets no limit.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (DIGIT_LIMIT + 700)
 
 
 def parse_one(body_text: str):
@@ -221,6 +227,25 @@ class TestErrors:
     def test_zero_denominator(self):
         with pytest.raises(RequirementSyntaxError, match="zero denominator"):
             parse_requirements("require x : size >= 1/0\n")
+
+    @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no integer digit limit")
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            pytest.param(TOO_LONG, id="integer"),
+            pytest.param(f"1/{TOO_LONG}", id="n/d-denominator"),
+            pytest.param(f"{TOO_LONG}/1", id="n/d-numerator"),
+            pytest.param(f"1.{TOO_LONG}", id="decimal"),
+            pytest.param(f"{TOO_LONG}%", id="percent"),
+            # Parses within the limit, but its denominator 10**DIGIT_LIMIT
+            # would be one digit too long to write back.
+            pytest.param("1." + "1" * (DIGIT_LIMIT - 2) + "%", id="unrenderable-percent"),
+        ],
+    )
+    def test_over_long_number_is_a_located_error(self, literal):
+        with pytest.raises(RequirementSyntaxError, match="too many digits") as exc:
+            parse_requirements(f"require x : density >= {literal}\n")
+        assert (exc.value.line, exc.value.col) == (1, 24)
 
     def test_unknown_path_scope(self):
         with pytest.raises(RequirementSyntaxError, match="unknown path scope"):
