@@ -7,6 +7,18 @@ and per-role candidate lists. Atoms flagged ``@parent`` are computed on
 the parent network (the network a candidate subset was drawn from); all
 other constraints see the network under evaluation.
 
+``satisfies`` makes the same decision as ``evaluate(...).overall`` through
+the same verdict code, but stops at the first failing requirement and
+builds no explanation; searches call it on every candidate and
+``evaluate`` only on the ones that pass. A report screens its network for
+role candidacies the first time ``role_candidacies`` is read, so a report
+that is never rendered never pays for screening.
+
+Within one call, ``avg_others`` comes from one total per network and
+metric minus the actor's own value, so a predicate costs O(atoms) per
+actor rather than O(n) per atom; the totals are dropped when the call
+returns.
+
 All comparisons are exact; a comparison that touches an UNDEFINED or
 UNREACHABLE value is false, so requirements about uncomputable properties
 fail rather than passing vacuously, and the rendered value states why.
@@ -14,12 +26,15 @@ fail rather than passing vacuously, and the rendered value states why.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal
 
 from .metrics import (
+    MODES,
     UNIT_INTERVAL_METRICS,
+    VIEWS,
     MetricId,
     MetricValue,
     actor_metric,
@@ -46,7 +61,7 @@ from .requirements import (
     template_member,
     template_planner,
 )
-from .values import UNDEFINED, fraction_str, is_defined
+from .values import UNDEFINED, MetricResult, fraction_str, is_defined
 
 
 class EvaluationError(ValueError):
@@ -75,8 +90,10 @@ class Verdict:
 class EvaluationReport:
     """All verdicts for one (network, requirement set) evaluation.
 
-    ``peel_trace`` is None except on reports produced by the greedy-peel
-    search, where it lists the removed actors in removal order.
+    ``network`` is the evaluated network; ``role_candidacies`` screens it
+    for every role the first time it is read. ``peel_trace`` is None
+    except on reports produced by the greedy-peel search, where it lists
+    the removed actors in removal order.
     """
 
     network_name: str
@@ -84,8 +101,17 @@ class EvaluationReport:
     anchor: str | None
     verdicts: tuple[Verdict, ...]
     overall: bool
-    role_candidacies: dict[str, tuple[str, ...]]
+    network: SocialNetwork = field(compare=False, repr=False)
     peel_trace: tuple[str, ...] | None = None
+
+    @cached_property
+    def role_candidacies(self) -> dict[str, tuple[str, ...]]:
+        """Actors of ``network`` whose role predicate holds, per role."""
+        scope = _Scope(self.network)
+        return {
+            role: tuple(_screen(template(), scope))
+            for role, template in _ROLE_TEMPLATES.items()
+        }
 
 
 Role = Literal["member", "planner", "broker"]
@@ -100,77 +126,128 @@ _ROLE_TEMPLATES = {
 # -- predicate machinery ------------------------------------------------------
 
 
-def _avg_of_others(
-    net: SocialNetwork, metric: MetricId, actor: str, view: str, mode: str
-):
-    others = [x for x in net.actors if x != actor]
-    if not others:
-        return UNDEFINED
-    total = Fraction(0)
-    for other in others:
-        value = actor_metric(net, metric, other, view=view, mode=mode)
-        if not is_defined(value):
-            return UNDEFINED
-        total += value
-    return total / len(others)
-
-
-def _eval_predicate(
-    pred,
-    actor: str,
-    net: SocialNetwork,
-    parent: SocialNetwork,
-    view: str,
-    mode: str,
-    polarity: bool = True,
-) -> tuple[bool, list[str]]:
-    """Evaluate a predicate for one actor.
-
-    Returns (holds, failures) where failures describes the leaf atoms that
-    pull the predicate toward false under the given polarity; it is
-    non-empty exactly when holds is false.
+class _Scope:
+    """What the verdicts of one call share: the evaluated network, its
+    parent, the anchor, the path semantics, and the totals behind
+    ``avg_others``, which are dropped with the scope when the call returns.
     """
-    if isinstance(pred, Atom):
-        target = parent if pred.on_parent else net
-        observed = observe_actor_metric(target, pred.metric, actor, view=view, mode=mode)
-        ref = pred.reference
-        if isinstance(ref, AvgOfOthers):
-            ref_value = _avg_of_others(target, ref.metric, actor, view, mode)
-            ref_text = f"avg_others({ref.metric.value}) = {fraction_str(ref_value)}"
+
+    def __init__(
+        self,
+        net: SocialNetwork,
+        parent: SocialNetwork | None = None,
+        anchor: str | None = None,
+        view: str = "directed",
+        mode: str = "strict",
+    ) -> None:
+        self.net = net
+        self.parent = parent if parent is not None else net
+        self.anchor = anchor
+        self.view = view
+        self.mode = mode
+        # (on the evaluated network?, metric) -> (value per actor, sum of the
+        # defined values, number of undefined values)
+        self._totals: dict[
+            tuple[bool, MetricId], tuple[dict[str, MetricResult], Fraction, int]
+        ] = {}
+
+    def target(self, atom: Atom) -> SocialNetwork:
+        return self.parent if atom.on_parent else self.net
+
+    def reference(self, atom: Atom, actor: str):
+        """The value ``atom`` compares ``actor``'s metric against."""
+        ref = atom.reference
+        if not isinstance(ref, AvgOfOthers):
+            return ref
+        target = self.target(atom)
+        key = (target is self.net, ref.metric)
+        if key not in self._totals:
+            values = {
+                a: actor_metric(target, ref.metric, a, view=self.view, mode=self.mode)
+                for a in target.actors
+            }
+            defined = [v for v in values.values() if is_defined(v)]
+            self._totals[key] = (
+                values, sum(defined, Fraction(0)), len(values) - len(defined)
+            )
+        values, total, undefined = self._totals[key]
+        # The mean over the other actors: the total less the actor's own
+        # value, UNDEFINED when there are no others or one is undefined.
+        own = values[actor]
+        if is_defined(own):
+            total -= own
         else:
-            ref_value = ref
-            ref_text = render_literal(ref, pred.metric in UNIT_INTERVAL_METRICS)
-        holds = pred.cmp.holds(observed.value, ref_value)
-        if (holds if polarity else not holds):
-            return True, []
-        negation = "" if polarity else "not "
-        value_text = fraction_str(observed.value, observed.ratio)
-        return False, [
-            f"{pred.metric.value}={value_text}, "
-            f"required {negation}{pred.cmp.value}{ref_text}"
-        ]
+            undefined -= 1
+        if undefined or target.size < 2:
+            return UNDEFINED
+        return total / (target.size - 1)
+
+
+def _holds(pred, actor: str, scope: _Scope) -> bool:
+    """Whether ``pred`` holds for ``actor``; stops at the first deciding part."""
+    if isinstance(pred, Atom):
+        value = actor_metric(
+            scope.target(pred), pred.metric, actor, view=scope.view, mode=scope.mode
+        )
+        return pred.cmp.holds(value, scope.reference(pred, actor))
     if isinstance(pred, Not):
-        return _eval_predicate(pred.part, actor, net, parent, view, mode, not polarity)
-    results = [
-        _eval_predicate(part, actor, net, parent, view, mode, polarity)
-        for part in pred.parts
+        return not _holds(pred.part, actor, scope)
+    parts = (_holds(part, actor, scope) for part in pred.parts)
+    return all(parts) if isinstance(pred, And) else any(parts)
+
+
+def _failures(pred, actor: str, scope: _Scope, polarity: bool = True) -> list[str]:
+    """Describe the leaf atoms that pull ``pred`` away from ``polarity``.
+
+    Empty exactly when ``pred`` holds for ``actor`` (under ``polarity``).
+    """
+    if _holds(pred, actor, scope) == polarity:
+        return []
+    if isinstance(pred, Not):
+        return _failures(pred.part, actor, scope, not polarity)
+    if not isinstance(pred, Atom):
+        return [
+            desc for part in pred.parts for desc in _failures(part, actor, scope, polarity)
+        ]
+    observed = observe_actor_metric(
+        scope.target(pred), pred.metric, actor, view=scope.view, mode=scope.mode
+    )
+    ref = pred.reference
+    if isinstance(ref, AvgOfOthers):
+        ref_value = scope.reference(pred, actor)
+        ref_text = f"avg_others({ref.metric.value}) = {fraction_str(ref_value)}"
+    else:
+        ref_text = render_literal(ref, pred.metric in UNIT_INTERVAL_METRICS)
+    negation = "" if polarity else "not "
+    value_text = fraction_str(observed.value, observed.ratio)
+    return [
+        f"{pred.metric.value}={value_text}, "
+        f"required {negation}{pred.cmp.value}{ref_text}"
     ]
-    conjunctive = isinstance(pred, And) == polarity
-    holds = all(r[0] for r in results) if conjunctive else any(r[0] for r in results)
-    if holds:
-        return True, []
-    return False, [desc for ok, descs in results if not ok for desc in descs]
+
+
+def _screen(predicate, scope: _Scope) -> list[str]:
+    """Actors of the scope's network whose role predicate holds there."""
+    return [a for a in scope.net.actors if _holds(predicate, a, scope)]
 
 
 # -- verdicts ------------------------------------------------------------------
+#
+# Each verdict function decides first. With ``explain`` false it returns the
+# bare decision as soon as it is known, with no detail text, so that
+# ``satisfies`` and ``evaluate`` share one copy of every rule.
 
 
-def _network_verdict(
-    req: Requirement, net: SocialNetwork, view: str, mode: str
-) -> Verdict:
+def _decided(req: Requirement, satisfied: bool) -> Verdict:
+    return Verdict(req.label, satisfied, "")
+
+
+def _network_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     body: NetworkConstraint = req.body
-    mv = observe_network_metric(net, body.metric, view=view, mode=mode)
+    mv = observe_network_metric(scope.net, body.metric, view=scope.view, mode=scope.mode)
     satisfied = body.cmp.holds(mv.value, body.threshold)
+    if not explain:
+        return _decided(req, satisfied)
     threshold = render_literal(body.threshold, body.metric in UNIT_INTERVAL_METRICS)
     detail = (
         f"{body.metric.value} = {metric_display(mv)}; "
@@ -179,53 +256,40 @@ def _network_verdict(
     return Verdict(req.label, satisfied, detail, observed=(mv,))
 
 
-def _forall_verdict(
-    req: Requirement,
-    net: SocialNetwork,
-    parent: SocialNetwork,
-    anchor: str | None,
-    view: str,
-    mode: str,
-) -> Verdict:
+def _forall_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     body: ForAllActors = req.body
-    scope = [a for a in net.actors if not (body.except_anchor and a == anchor)]
-    violators: list[tuple[str, str]] = []
-    failed: list[str] = []
-    for actor in scope:
-        holds, failures = _eval_predicate(body.predicate, actor, net, parent, view, mode)
-        if not holds:
-            failed.append(actor)
-            violators.extend((actor, desc) for desc in failures)
+    actors = [
+        a for a in scope.net.actors if not (body.except_anchor and a == scope.anchor)
+    ]
+    failing = (a for a in actors if not _holds(body.predicate, a, scope))
+    if not explain:
+        return _decided(req, next(failing, None) is None)
+    failed = list(failing)
     pred_text = render_predicate(body.predicate)
     scope_text = " except anchor" if body.except_anchor else ""
-    if not violators:
-        detail = f"all {len(scope)} actors{scope_text} satisfy ({pred_text})"
+    if not failed:
+        detail = f"all {len(actors)} actors{scope_text} satisfy ({pred_text})"
         return Verdict(req.label, True, detail)
-    detail = (
-        f"{len(failed)} of {len(scope)} actors{scope_text} violate ({pred_text})"
+    violators = tuple(
+        (actor, desc)
+        for actor in failed
+        for desc in _failures(body.predicate, actor, scope)
     )
-    return Verdict(req.label, False, detail, violators=tuple(violators))
+    detail = (
+        f"{len(failed)} of {len(actors)} actors{scope_text} violate ({pred_text})"
+    )
+    return Verdict(req.label, False, detail, violators=violators)
 
 
-def _count_verdict(
-    req: Requirement,
-    net: SocialNetwork,
-    parent: SocialNetwork,
-    view: str,
-    mode: str,
-) -> Verdict:
+def _count_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     body: CountActors = req.body
-    witnesses: list[str] = []
-    failures_by_actor: dict[str, list[str]] = {}
-    for actor in net.actors:
-        holds, failures = _eval_predicate(body.predicate, actor, net, parent, view, mode)
-        if holds:
-            witnesses.append(actor)
-        else:
-            failures_by_actor[actor] = failures
+    net = scope.net
+    witnesses = [a for a in net.actors if _holds(body.predicate, a, scope)]
     count = len(witnesses)
     bound_value = body.bound * net.size if body.fraction_of_size else body.bound
     satisfied = body.cmp.holds(count, bound_value)
+    if not explain:
+        return _decided(req, satisfied)
     pred_text = render_predicate(body.predicate)
     bound_text = render_literal(body.bound, body.fraction_of_size)
     if body.fraction_of_size:
@@ -241,11 +305,12 @@ def _count_verdict(
         # blame the surplus of actors satisfying it.
         too_few = count < bound_value
         if too_few:
+            chosen = set(witnesses)
             violators = [
                 (actor, desc)
                 for actor in net.actors
-                if actor in failures_by_actor
-                for desc in failures_by_actor[actor]
+                if actor not in chosen
+                for desc in _failures(body.predicate, actor, scope)
             ]
         else:
             violators = [
@@ -263,13 +328,9 @@ def _count_verdict(
     )
 
 
-def _path_verdict(
-    req: Requirement,
-    net: SocialNetwork,
-    anchor: str | None,
-    view: str,
-) -> Verdict:
+def _path_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     body: PairwisePath = req.body
+    net, anchor = scope.net, scope.anchor
     if body.between is PathScope.ALL_PAIRS:
         pool = list(net.actors)
         pairs = [(x, y) for x in pool for y in pool if x != y]
@@ -278,39 +339,87 @@ def _path_verdict(
     else:
         others = [a for a in net.actors if a != anchor]
         pairs = [(x, y) for x in others for y in others if x != y]
-    violators: list[tuple[str, str]] = []
-    for sender, receiver in pairs:
-        length = shortest_path_length(net, sender, receiver, view=view)
-        if not body.cmp.holds(length, body.threshold):
-            violators.append(
-                (
-                    sender,
-                    f"path {sender}->{receiver}={fraction_str(length)}, "
-                    f"required {body.cmp.value}{body.threshold}",
-                )
-            )
+    lengths = (
+        (sender, receiver, shortest_path_length(net, sender, receiver, view=scope.view))
+        for sender, receiver in pairs
+    )
+    failing = (
+        (sender, receiver, length)
+        for sender, receiver, length in lengths
+        if not body.cmp.holds(length, body.threshold)
+    )
+    if not explain:
+        return _decided(req, next(failing, None) is None)
+    violators = tuple(
+        (
+            sender,
+            f"path {sender}->{receiver}={fraction_str(length)}, "
+            f"required {body.cmp.value}{body.threshold}",
+        )
+        for sender, receiver, length in failing
+    )
     shape = f"path {body.cmp.value} {body.threshold}"
     if not violators:
         detail = f"all {len(pairs)} {body.between.value} paths satisfy ({shape})"
         return Verdict(req.label, True, detail)
     detail = f"{len(violators)} of {len(pairs)} {body.between.value} paths violate ({shape})"
-    return Verdict(req.label, False, detail, violators=tuple(violators))
+    return Verdict(req.label, False, detail, violators=violators)
 
 
-def _screen(predicate, net: SocialNetwork) -> list[str]:
-    """Actors of ``net`` whose role predicate holds, screened on ``net``."""
-    return [
-        a
-        for a in net.actors
-        if _eval_predicate(predicate, a, net, net, "directed", "strict")[0]
-    ]
+def _verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
+    body = req.body
+    if isinstance(body, NetworkConstraint):
+        return _network_verdict(req, scope, explain)
+    if isinstance(body, ForAllActors):
+        return _forall_verdict(req, scope, explain)
+    if isinstance(body, CountActors):
+        return _count_verdict(req, scope, explain)
+    if isinstance(body, PairwisePath):
+        return _path_verdict(req, scope, explain)
+    return Verdict(req.label, True, f"anchor = {scope.anchor}")
 
 
-def _candidacies(net: SocialNetwork) -> dict[str, tuple[str, ...]]:
-    return {
-        role: tuple(_screen(template(), net))
-        for role, template in _ROLE_TEMPLATES.items()
-    }
+def _checked_scope(
+    net: SocialNetwork,
+    reqs: RequirementSet,
+    anchor: str | None,
+    parent: SocialNetwork | None,
+    view: str,
+    mode: str,
+) -> _Scope:
+    """The scope of one evaluation, after checking its preconditions."""
+    if view not in VIEWS:
+        raise EvaluationError(f"view must be one of {VIEWS}, got {view!r}")
+    if mode not in MODES:
+        raise EvaluationError(f"mode must be one of {MODES}, got {mode!r}")
+    if parent is not None and parent is not net:
+        members = frozenset(net.actors)
+        for actor in net.actors:
+            if actor not in parent:
+                raise EvaluationError(
+                    f"actor {actor!r} is not part of the parent network"
+                )
+            if net.out_neighbors(actor) != parent.out_neighbors(actor) & members:
+                raise EvaluationError(
+                    f"ties of {actor!r} differ from those the parent network "
+                    f"induces on the evaluated actors"
+                )
+    if reqs.needs_anchor:
+        effective = anchor if anchor is not None else reqs.anchor
+        if effective is None:
+            raise EvaluationError(
+                f"requirement set {reqs.name!r} designates an anchor; "
+                f"supply one at evaluation time"
+            )
+        if effective not in net:
+            raise EvaluationError(f"anchor {effective!r} is not an actor of the network")
+    elif anchor is not None:
+        raise EvaluationError(
+            f"requirement set {reqs.name!r} does not designate an anchor"
+        )
+    else:
+        effective = None
+    return _Scope(net, parent, effective, view, mode)
 
 
 def evaluate(
@@ -331,61 +440,34 @@ def evaluate(
     must be the subnetwork it induces, and ``@parent`` atoms evaluate
     there. ``view``/``mode`` select path-metric semantics.
     """
-    parent_net = parent if parent is not None else net
-    if parent_net is not net:
-        members = frozenset(net.actors)
-        for actor in net.actors:
-            if actor not in parent_net:
-                raise EvaluationError(
-                    f"actor {actor!r} is not part of the parent network"
-                )
-            if net.out_neighbors(actor) != parent_net.out_neighbors(actor) & members:
-                raise EvaluationError(
-                    f"ties of {actor!r} differ from those the parent network "
-                    f"induces on the evaluated actors"
-                )
-    if reqs.needs_anchor:
-        effective = anchor if anchor is not None else reqs.anchor
-        if effective is None:
-            raise EvaluationError(
-                f"requirement set {reqs.name!r} designates an anchor; "
-                f"supply one at evaluation time"
-            )
-        if effective not in net:
-            raise EvaluationError(f"anchor {effective!r} is not an actor of the network")
-    elif anchor is not None:
-        raise EvaluationError(
-            f"requirement set {reqs.name!r} does not designate an anchor"
-        )
-    else:
-        effective = None
-
-    verdicts: list[Verdict] = []
-    for req in reqs.requirements:
-        body = req.body
-        if isinstance(body, NetworkConstraint):
-            verdicts.append(_network_verdict(req, net, view, mode))
-        elif isinstance(body, ForAllActors):
-            verdicts.append(
-                _forall_verdict(req, net, parent_net, effective, view, mode)
-            )
-        elif isinstance(body, CountActors):
-            verdicts.append(_count_verdict(req, net, parent_net, view, mode))
-        elif isinstance(body, PairwisePath):
-            verdicts.append(_path_verdict(req, net, effective, view))
-        else:
-            verdicts.append(
-                Verdict(req.label, True, f"anchor = {effective}")
-            )
-    overall = all(v.satisfied for v in verdicts)
+    scope = _checked_scope(net, reqs, anchor, parent, view, mode)
+    verdicts = tuple(_verdict(req, scope, True) for req in reqs.requirements)
     return EvaluationReport(
         network_name,
         reqs.name,
-        effective,
-        tuple(verdicts),
-        overall,
-        _candidacies(net),
+        scope.anchor,
+        verdicts,
+        all(v.satisfied for v in verdicts),
+        net,
     )
+
+
+def satisfies(
+    net: SocialNetwork,
+    reqs: RequirementSet,
+    anchor: str | None = None,
+    *,
+    parent: SocialNetwork | None = None,
+    view: str = "directed",
+    mode: str = "strict",
+) -> bool:
+    """``evaluate(...).overall``, decided without building the report.
+
+    Makes the same checks and raises the same errors as :func:`evaluate`,
+    then stops at the first requirement that fails.
+    """
+    scope = _checked_scope(net, reqs, anchor, parent, view, mode)
+    return all(_verdict(req, scope, False).satisfied for req in reqs.requirements)
 
 
 def role_candidates(
@@ -401,11 +483,10 @@ def role_candidates(
         raise EvaluationError(f"unknown role {role!r}")
     if net.size < 2:
         raise EvaluationError("role screening needs at least two actors")
-    base = net
+    scope = _Scope(net)
     if members_only and role != "member":
-        members = _screen(template_member(), net)
+        members = _screen(template_member(), scope)
         if not members:
             return []
-        base = net.induced(members)
-    return _screen(_ROLE_TEMPLATES[role](), base)
-
+        scope = _Scope(net.induced(members))
+    return _screen(_ROLE_TEMPLATES[role](), scope)

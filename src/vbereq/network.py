@@ -151,16 +151,29 @@ class SocialNetwork:
     def induced(self, subset: Iterable[str]) -> "SocialNetwork":
         """The subnetwork on ``subset``, keeping only internal ties.
 
-        Actor order follows this network, not the order of ``subset``.
+        Actor order follows this network, not the order of ``subset``. The
+        ids and ties were validated when this network was built, so the
+        subnetwork is cut from its neighbour sets without checking them
+        again.
         """
-        wanted = set(subset)
+        wanted = frozenset(subset)
         for actor in wanted:
             self.require_actor(actor)
         if not wanted:
             raise NetworkError("an induced subnetwork needs at least one actor")
         actors = tuple(a for a in self.actors if a in wanted)
-        ties = frozenset((a, b) for a, b in self.ties if a in wanted and b in wanted)
-        return SocialNetwork(actors, ties)
+        out = {a: self._out[a] & wanted for a in actors}
+        inc = {a: self._in[a] & wanted for a in actors}
+        net = object.__new__(SocialNetwork)
+        for name, value in (
+            ("actors", actors),
+            ("ties", frozenset((a, b) for a in actors for b in out[a])),
+            ("_out", out),
+            ("_in", inc),
+            ("_distances", {}),
+        ):
+            object.__setattr__(net, name, value)
+        return net
 
     def symmetrized(self) -> "SocialNetwork":
         """The undirected view: every tie is made mutual."""

@@ -1,11 +1,13 @@
 """Induced-subnetwork search: exhaustive enumeration and greedy peeling.
 
 Exhaustive mode enumerates every actor subset inside the size window (for
-anchored requirement sets, only subsets containing the anchor), evaluates
-each induced subnetwork, and returns all satisfying subsets. Density can
-rise or fall as actors are removed, so no pruning beyond the size window
-is applied; completeness over the window is the point. A size guard and an
-enumeration cap keep accidental blowups from running away.
+anchored requirement sets, only subsets containing the anchor), decides
+each induced subnetwork with ``satisfies`` (which stops at the first
+failing requirement and explains nothing), and builds the full
+``evaluate`` report only for the subsets that pass, which it returns.
+Density can rise or fall as actors are removed, so no pruning beyond the
+size window is applied; completeness over the window is the point. A size
+guard and an enumeration cap keep accidental blowups from running away.
 
 Greedy peel starts from the whole network and repeatedly removes the actor
 with the most violated per-actor atoms (ties broken by lowest total
@@ -23,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .evaluator import EvaluationReport, evaluate
+from .evaluator import EvaluationReport, evaluate, satisfies
 from .metrics import MetricId, actor_metric, network_metric
 from .network import SocialNetwork
 from .requirements import RequirementSet
@@ -149,6 +151,8 @@ def search_exhaustive(
                     f"enumeration cap exceeded after {cfg.enumeration_cap} subsets"
                 )
             sub = net.induced(combo)
+            if not satisfies(sub, reqs, effective, parent=net, view=view, mode=mode):
+                continue
             report = evaluate(
                 sub,
                 reqs,
@@ -158,13 +162,10 @@ def search_exhaustive(
                 view=view,
                 mode=mode,
             )
-            if report.overall:
-                solution = SubnetworkSolution(
-                    combo, report, _objective_value(cfg, sub)
-                )
-                if cfg.objective == "first":
-                    return [solution]
-                solutions.append(solution)
+            solution = SubnetworkSolution(combo, report, _objective_value(cfg, sub))
+            if cfg.objective == "first":
+                return [solution]
+            solutions.append(solution)
     solutions.sort(
         key=lambda s: (
             -Fraction(s.objective_value),
@@ -218,15 +219,15 @@ def search_greedy_peel(
             if not verdict.satisfied
             for actor, _ in verdict.violators
         )
-        candidates = [a for a in current.actors if a != effective]
+        candidates = [(i, a) for i, a in enumerate(current.actors) if a != effective]
         if not candidates:
             return None
-        victim = max(
+        _, victim = max(
             candidates,
-            key=lambda a: (
-                scores.get(a, 0),
-                -actor_metric(current, MetricId.TOTAL_DEGREE, a),
-                -current.actors.index(a),
+            key=lambda candidate: (
+                scores.get(candidate[1], 0),
+                -actor_metric(current, MetricId.TOTAL_DEGREE, candidate[1]),
+                -candidate[0],
             ),
         )
         trace.append(victim)

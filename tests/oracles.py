@@ -126,3 +126,58 @@ def brute_avg_path_length(actors, ties, undirected, lenient):
     if not reachable:
         return UNDEFINED
     return Fraction(sum(reachable), len(reachable))
+
+
+# -- role screening ----------------------------------------------------------
+#
+# ``None`` stands for an undefined value here; a comparison against it is
+# false, and a mean over the others is undefined when any of them is.
+
+
+def _brute_recip_density(ties, actor: str) -> Fraction | None:
+    neighborhood = brute_neighborhood(ties, actor)
+    if not neighborhood:
+        return None
+    return Fraction(len(brute_recip_partners(ties, actor)), len(neighborhood))
+
+
+def _brute_above_others(actors, actor: str, value) -> bool:
+    """Whether ``value(actor)`` exceeds the mean over every other actor,
+    each scanned afresh."""
+    own = value(actor)
+    others = [value(x) for x in actors if x != actor]
+    if own is None or not others or any(v is None for v in others):
+        return False
+    return own > Fraction(sum(others), len(others))
+
+
+def brute_member(actors, ties) -> list[str]:
+    """Actors with in- or out-density above one half."""
+    if len(actors) < 2:
+        return []
+    half = Fraction(1, 2)
+    return [
+        a
+        for a in actors
+        if Fraction(brute_in_degree(ties, a), len(actors) - 1) > half
+        or Fraction(brute_out_degree(ties, a), len(actors) - 1) > half
+    ]
+
+
+def brute_broker(actors, ties) -> list[str]:
+    """Actors whose in- and out-degrees both exceed the others' means."""
+    return [
+        a
+        for a in actors
+        if _brute_above_others(actors, a, lambda x: brute_in_degree(ties, x))
+        and _brute_above_others(actors, a, lambda x: brute_out_degree(ties, x))
+    ]
+
+
+def brute_planner(actors, ties) -> list[str]:
+    """Brokers whose reciprocated density also exceeds the others' mean."""
+    return [
+        a
+        for a in brute_broker(actors, ties)
+        if _brute_above_others(actors, a, lambda x: _brute_recip_density(ties, x))
+    ]

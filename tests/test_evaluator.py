@@ -250,6 +250,19 @@ class TestRoles:
         assert set(members_only) <= set(role_candidates(steel10_f3, "member"))
         assert full == ["B", "E"]
 
+    def test_an_actor_without_neighbours_leaves_the_others_mean_undefined(self):
+        # C's recip_density is UNDEFINED, so is the mean A and B are compared
+        # against; they stay brokers but neither is a planner.
+        net = SocialNetwork(tuple("ABC"), frozenset({("A", "B"), ("B", "A")}))
+        assert role_candidates(net, "broker") == ["A", "B"]
+        assert role_candidates(net, "planner") == []
+
+    def test_report_screens_roles_when_read(self, steel10, steel_vbe_reqs):
+        report = evaluate(steel10, steel_vbe_reqs)
+        assert "role_candidacies" not in vars(report)
+        assert report.role_candidacies["broker"] == ("B", "E")
+        assert "role_candidacies" in vars(report)
+
     def test_unknown_role_and_tiny_network(self, steel10):
         with pytest.raises(EvaluationError, match="unknown role"):
             role_candidates(steel10, "boss")

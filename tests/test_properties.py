@@ -13,10 +13,12 @@ from vbereq import (
     AvgOfOthers,
     Comparator,
     CountActors,
+    EvaluationError,
     ForAllActors,
     FormatError,
     MetricId,
     NetworkConstraint,
+    NetworkError,
     Not,
     Or,
     PairwisePath,
@@ -35,13 +37,16 @@ from vbereq import (
     parse_matrix_csv,
     parse_requirements,
     render_report,
+    role_candidates,
     search_exhaustive,
+    search_greedy_peel,
     serialize_edge_list,
     serialize_matrix_csv,
     serialize_requirements,
     SearchConfig,
     is_defined,
 )
+from vbereq.evaluator import satisfies
 from vbereq.metrics import (
     ACTOR_METRICS,
     METRIC_TABLE,
@@ -50,6 +55,7 @@ from vbereq.metrics import (
     UNIT_INTERVAL_METRICS,
     VIEWS,
 )
+from tests.oracles import brute_broker, brute_member, brute_planner
 
 ACTORS = tuple("ABCDEFGHIJ")
 
@@ -118,21 +124,22 @@ def network_constraints(draw):
 
 
 @st.composite
-def requirement_bodies(draw, anchored: bool):
+def requirement_bodies(draw, anchored: bool, allow_parent: bool = False):
     kind = draw(st.integers(0, 3))
     if kind == 0:
         return draw(network_constraints())
+    pred = predicates(allow_parent=allow_parent)
     if kind == 1:
         except_anchor = anchored and draw(st.booleans())
-        return ForAllActors(draw(predicates()), except_anchor=except_anchor)
+        return ForAllActors(draw(pred), except_anchor=except_anchor)
     if kind == 2:
         if draw(st.booleans()):
             den = draw(st.integers(1, 6))
             bound = Fraction(draw(st.integers(0, den)), den)
             return CountActors(
-                draw(predicates()), draw(_COMPARATORS), bound, fraction_of_size=True
+                draw(pred), draw(_COMPARATORS), bound, fraction_of_size=True
             )
-        return CountActors(draw(predicates()), draw(_COMPARATORS), draw(st.integers(0, 10)))
+        return CountActors(draw(pred), draw(_COMPARATORS), draw(st.integers(0, 10)))
     scopes = [PathScope.ALL_PAIRS]
     if anchored:
         scopes += [PathScope.ANCHOR_TO_OTHERS, PathScope.OTHERS_TO_OTHERS]
@@ -142,13 +149,13 @@ def requirement_bodies(draw, anchored: bool):
 
 
 @st.composite
-def requirement_sets(draw):
+def requirement_sets(draw, allow_parent: bool = False):
     anchored = draw(st.booleans())
     reqs = []
     if anchored:
         reqs.append(Requirement("anchor", AnchorDesignation()))
     for _ in range(draw(st.integers(1, 4))):
-        body = draw(requirement_bodies(anchored))
+        body = draw(requirement_bodies(anchored, allow_parent))
         reqs.append(Requirement(f"r{len(reqs) + 1}", body))
     return RequirementSet("prop", tuple(reqs))
 
@@ -388,3 +395,131 @@ class TestSearchInvariants:
             assert check.overall
             values.append(Fraction(sol.objective_value))
         assert values == sorted(values, reverse=True)
+
+
+@st.composite
+def subnetworks(draw, max_size: int = 8):
+    """(parent, net): a random network and the subnetwork it induces on a
+    random non-empty subset, built from the parent's internal ties."""
+    parent = draw(networks(max_size=max_size))
+    chosen = draw(st.lists(st.sampled_from(parent.actors), min_size=1, unique=True))
+    actors = tuple(a for a in parent.actors if a in chosen)
+    ties = frozenset((a, b) for a, b in parent.ties if a in chosen and b in chosen)
+    return parent, SocialNetwork(actors, ties)
+
+
+def _raised(call) -> str:
+    with pytest.raises(EvaluationError) as info:
+        call()
+    return str(info.value)
+
+
+class TestSatisfies:
+    """``satisfies`` decides exactly what ``evaluate`` reports as overall."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        subnetworks(max_size=7),
+        requirement_sets(allow_parent=True),
+        st.sampled_from(VIEWS),
+        st.sampled_from(MODES),
+        st.booleans(),
+        st.data(),
+    )
+    def test_agrees_with_evaluate(self, pair, reqs, view, mode, with_parent, data):
+        parent, net = pair
+        anchor = data.draw(st.sampled_from(net.actors)) if reqs.needs_anchor else None
+        kwargs = {"parent": parent if with_parent else None, "view": view, "mode": mode}
+        assert satisfies(net, reqs, anchor, **kwargs) == (
+            evaluate(net, reqs, anchor, **kwargs).overall
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(subnetworks(max_size=6), requirement_sets(allow_parent=True), st.booleans())
+    def test_raises_what_evaluate_raises(self, pair, reqs, unknown):
+        parent, net = pair
+        anchor = net.actors[0] if reqs.needs_anchor else None
+        # (network, anchor): an anchor that is not an actor of the network
+        # or none at all, or an anchor for a set that designates none ...
+        if reqs.needs_anchor:
+            faults = [(net, "Z" if unknown else None)]
+        else:
+            faults = [(net, net.actors[0])]
+        # ... a parent that lacks an actor of the network, or one that
+        # induces other ties on its actors.
+        faults.append((SocialNetwork(net.actors + ("Z",), net.ties), anchor))
+        if net.size >= 2:
+            a, b = net.actors[:2]
+            faults.append((SocialNetwork(net.actors, net.ties ^ {(a, b)}), anchor))
+        for faulty, faulty_anchor in faults:
+            assert _raised(
+                lambda: satisfies(faulty, reqs, faulty_anchor, parent=parent)
+            ) == _raised(lambda: evaluate(faulty, reqs, faulty_anchor, parent=parent))
+
+    @pytest.mark.parametrize("kwargs", [{"view": "bogus"}, {"mode": "bogus"}])
+    def test_unknown_view_or_mode_raises_before_any_rule(self, kwargs):
+        net = SocialNetwork(("A",))
+        reqs = RequirementSet("anchored", (Requirement("anchor", AnchorDesignation()),))
+        assert _raised(lambda: satisfies(net, reqs, "A", **kwargs)) == _raised(
+            lambda: evaluate(net, reqs, "A", **kwargs)
+        )
+
+
+_ROLE_ORACLES = {"member": brute_member, "planner": brute_planner, "broker": brute_broker}
+
+
+class TestRoleScreening:
+    """Role screening against scans that recompute every others' mean."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks(min_size=2))
+    # C has no neighbours, so its recip_density and the others' mean that
+    # A and B are compared against are UNDEFINED.
+    @example(SocialNetwork(tuple("ABC"), frozenset({("A", "B"), ("B", "A")})))
+    def test_role_candidates_match_the_oracles(self, net):
+        report = evaluate(net, RequirementSet("roles"))
+        for role, oracle in _ROLE_ORACLES.items():
+            assert role_candidates(net, role) == oracle(net.actors, net.ties)
+            assert report.role_candidacies[role] == tuple(role_candidates(net, role))
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks(min_size=2, max_size=7), requirement_sets())
+    def test_peel_report_screens_the_solution_network(self, net, reqs):
+        anchor = net.actors[0] if reqs.needs_anchor else None
+        sol = search_greedy_peel(net, reqs, SearchConfig(1, net.size), anchor)
+        if sol is None:
+            return
+        ties = frozenset((a, b) for a, b in net.ties if a in sol.actors and b in sol.actors)
+        assert sol.report.role_candidacies == {
+            role: tuple(oracle(sol.actors, ties)) for role, oracle in _ROLE_ORACLES.items()
+        }
+
+
+class TestInduced:
+    @settings(max_examples=200, deadline=None)
+    @given(networks(), st.data())
+    def test_matches_the_network_built_from_the_internal_ties(self, net, data):
+        chosen = data.draw(st.lists(st.sampled_from(net.actors), min_size=1, unique=True))
+        sub = net.induced(chosen)
+        ordered = tuple(a for a in net.actors if a in chosen)
+        built = SocialNetwork(
+            ordered,
+            frozenset((a, b) for a, b in net.ties if a in chosen and b in chosen),
+        )
+        assert sub == built and hash(sub) == hash(built)
+        assert (sub.actors, sub.ties) == (built.actors, built.ties)
+        for a in ordered:
+            assert sub.out_neighbors(a) == built.out_neighbors(a)
+            assert sub.in_neighbors(a) == built.in_neighbors(a)
+        for undirected in (False, True):
+            assert sub.distances(undirected) == built.distances(undirected)
+        inner = data.draw(st.lists(st.sampled_from(ordered), min_size=1, unique=True))
+        assert sub.induced(inner) == net.induced(inner)
+
+    @settings(max_examples=50, deadline=None)
+    @given(networks())
+    def test_unknown_actor_and_empty_subset_raise(self, net):
+        with pytest.raises(NetworkError, match="unknown actor 'Z'"):
+            net.induced([net.actors[0], "Z"])
+        with pytest.raises(NetworkError, match="at least one actor"):
+            net.induced([])

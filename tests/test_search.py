@@ -16,6 +16,7 @@ from vbereq import (
     SearchError,
     SocialNetwork,
     evaluate,
+    role_candidates,
     search_exhaustive,
     search_greedy_peel,
     template_member,
@@ -128,6 +129,17 @@ class TestGreedyPeel:
         assert sol.report.peel_trace == ("F", "I")
         assert sol.report.overall
         assert sol.report.network_name == "f3[A,B,C,D,E,G,H,J]"
+
+    def test_report_lists_roles_of_the_solution_network(self, steel10_f3):
+        sol = search_greedy_peel(steel10_f3, members_only_reqs(), SearchConfig(5, 10))
+        solution_net = steel10_f3.induced(sol.actors)
+        assert sol.report.role_candidacies == {
+            role: tuple(role_candidates(solution_net, role))
+            for role in ("member", "planner", "broker")
+        }
+        # I is a member of the parent but was peeled off.
+        assert "I" in role_candidates(steel10_f3, "member")
+        assert sol.report.role_candidacies["member"] == tuple("ABCDEGHJ")
 
     def test_immediate_success_has_empty_trace(self, steel10, steel_vbe_reqs):
         cfg = SearchConfig(5, 10)
