@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="stop exhaustive enumeration after N candidate subsets",
+        help="fail once exhaustive search would decide more than N subsets",
     )
     search.add_argument("--anchor", metavar="ID", help="anchor actor id")
     _add_out_option(search)

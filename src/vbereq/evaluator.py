@@ -10,9 +10,11 @@ other constraints see the network under evaluation.
 ``satisfies`` makes the same decision as ``evaluate(...).overall`` through
 the same verdict code, but stops at the first failing requirement and
 builds no explanation; searches call it on every candidate and
-``evaluate`` only on the ones that pass. A report screens its network for
-role candidacies the first time ``role_candidacies`` is read, so a report
-that is never rendered never pays for screening.
+``evaluate`` only on the ones that pass. ``search_limits`` reads, once per
+search, the sizes, actors and pairs that the rules already exclude, so the
+search decides only the subsets that could still pass. A report screens
+its network for role candidacies the first time ``role_candidacies`` is
+read, so a report that is never rendered never pays for screening.
 
 Within one call, ``avg_others`` comes from one total per network and
 metric minus the actor's own value, so a predicate costs O(atoms) per
@@ -49,6 +51,7 @@ from .requirements import (
     And,
     Atom,
     AvgOfOthers,
+    Comparator,
     CountActors,
     ForAllActors,
     NetworkConstraint,
@@ -328,17 +331,22 @@ def _count_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     )
 
 
+def _path_pairs(
+    between: PathScope, actors: tuple[str, ...], anchor: str | None
+) -> list[tuple[str, str]]:
+    """The ordered (sender, receiver) pairs a path scope covers."""
+    if between is PathScope.ALL_PAIRS:
+        return [(x, y) for x in actors for y in actors if x != y]
+    if between is PathScope.ANCHOR_TO_OTHERS:
+        return [(anchor, y) for y in actors if y != anchor]
+    others = [a for a in actors if a != anchor]
+    return [(x, y) for x in others for y in others if x != y]
+
+
 def _path_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     body: PairwisePath = req.body
-    net, anchor = scope.net, scope.anchor
-    if body.between is PathScope.ALL_PAIRS:
-        pool = list(net.actors)
-        pairs = [(x, y) for x in pool for y in pool if x != y]
-    elif body.between is PathScope.ANCHOR_TO_OTHERS:
-        pairs = [(anchor, y) for y in net.actors if y != anchor]
-    else:
-        others = [a for a in net.actors if a != anchor]
-        pairs = [(x, y) for x in others for y in others if x != y]
+    net = scope.net
+    pairs = _path_pairs(body.between, net.actors, scope.anchor)
     lengths = (
         (sender, receiver, shortest_path_length(net, sender, receiver, view=scope.view))
         for sender, receiver in pairs
@@ -468,6 +476,91 @@ def satisfies(
     """
     scope = _checked_scope(net, reqs, anchor, parent, view, mode)
     return all(_verdict(req, scope, False).satisfied for req in reqs.requirements)
+
+
+# -- search limits -------------------------------------------------------------
+
+
+def _atoms(pred) -> list[Atom]:
+    if isinstance(pred, Atom):
+        return [pred]
+    if isinstance(pred, Not):
+        return _atoms(pred.part)
+    return [atom for part in pred.parts for atom in _atoms(part)]
+
+
+def _length_ruled_out(body: PairwisePath, length: MetricResult) -> bool:
+    """Whether a pair at ``length`` in the parent fails ``body`` in every
+    subnetwork holding both. An induced subnetwork keeps a direct tie and
+    only loses other paths, so there the length is exactly 1, or at least
+    the parent's, or UNREACHABLE as in the parent; only an upper bound can
+    rule out a length that may still grow."""
+    if not is_defined(length):
+        return True
+    if length == 1:
+        return not body.cmp.holds(1, body.threshold)
+    most = {
+        Comparator.LT: body.threshold - 1,
+        Comparator.LE: body.threshold,
+        Comparator.EQ: body.threshold,
+    }.get(body.cmp)
+    return most is not None and length > most
+
+
+def search_limits(
+    parent: SocialNetwork,
+    reqs: RequirementSet,
+    anchor: str | None = None,
+    *,
+    view: str = "directed",
+    mode: str = "strict",
+) -> tuple[frozenset[int], tuple[str, ...], frozenset[tuple[str, str]]]:
+    """What ``reqs`` rules out of the subsets of ``parent`` that could
+    satisfy it: ``(sizes, actors, conflicts)``, the subset sizes every
+    ``size`` constraint allows, the actors (in parent order) such a subset
+    may contain, and the pairs (x, y) of those actors, x before y, that it
+    cannot contain together.
+
+    A ``forall`` whose atoms are all ``@parent`` excludes the actors failing
+    it on the parent (the anchor too, unless ``except anchor``). A path rule
+    excludes the pairs ``_length_ruled_out`` names, and a pair with the
+    anchor excludes the other actor. No other rule limits anything. Raises
+    what :func:`evaluate` raises for ``view``, ``mode`` and ``anchor``.
+    """
+    scope = _checked_scope(parent, reqs, anchor, None, view, mode)
+    anchor = scope.anchor
+    sizes = range(1, parent.size + 1)
+    excluded: set[str] = set()
+    conflicts: set[tuple[str, str]] = set()
+    order = {a: i for i, a in enumerate(parent.actors)}
+    for req in reqs.requirements:
+        body = req.body
+        if isinstance(body, NetworkConstraint) and body.metric is MetricId.SIZE:
+            sizes = [k for k in sizes if body.cmp.holds(k, body.threshold)]
+        elif isinstance(body, ForAllActors) and all(
+            atom.on_parent for atom in _atoms(body.predicate)
+        ):
+            excluded.update(
+                a
+                for a in parent.actors
+                if not (body.except_anchor and a == anchor)
+                and not _holds(body.predicate, a, scope)
+            )
+        elif isinstance(body, PairwisePath):
+            for x, y in _path_pairs(body.between, parent.actors, anchor):
+                if not _length_ruled_out(
+                    body, shortest_path_length(parent, x, y, view=view)
+                ):
+                    continue
+                if anchor in (x, y):
+                    excluded.add(y if x == anchor else x)
+                else:
+                    conflicts.add((x, y) if order[x] < order[y] else (y, x))
+    return (
+        frozenset(sizes),
+        tuple(a for a in parent.actors if a not in excluded),
+        frozenset(pair for pair in conflicts if excluded.isdisjoint(pair)),
+    )
 
 
 def role_candidates(

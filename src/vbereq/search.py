@@ -1,13 +1,30 @@
 """Induced-subnetwork search: exhaustive enumeration and greedy peeling.
 
-Exhaustive mode enumerates every actor subset inside the size window (for
-anchored requirement sets, only subsets containing the anchor), decides
-each induced subnetwork with ``satisfies`` (which stops at the first
-failing requirement and explains nothing), and builds the full
-``evaluate`` report only for the subsets that pass, which it returns.
-Density can rise or fall as actors are removed, so no pruning beyond the
-size window is applied; completeness over the window is the point. A size
-guard and an enumeration cap keep accidental blowups from running away.
+Exhaustive mode first asks ``search_limits`` what the requirement set
+already rules out, then enumerates by backtracking only the subsets that
+survive, and decides each induced subnetwork with ``satisfies`` (which
+stops at the first failing requirement and explains nothing); the full
+``evaluate`` report is built only for the subsets that pass, which it
+returns. Every subset of the size window (for anchored requirement sets,
+every subset containing the anchor) is either decided or ruled out by one
+of these rules, each sound for every induced subnetwork:
+
+* sizes that a ``size`` constraint rejects are skipped, since the size of
+  a subset is the number of its actors;
+* actors failing a ``forall`` whose atoms are all ``@parent`` are left
+  out (the anchor is exempt under ``except anchor``; when it is not exempt
+  and fails, nothing is enumerated), since those atoms read only the
+  parent;
+* path rules leave out actors, and forbid pairs, whose length in the
+  parent already fails them in every subnetwork: an induced subnetwork
+  keeps a direct tie and only loses other paths, so a length never drops
+  below the parent's and an unreachable pair stays unreachable.
+
+Density, reciprocity and counts can rise or fall as actors join, so they
+never prune; every surviving subset still goes through ``satisfies``,
+which also catches lengths that grow or become unreachable. A size guard
+and an enumeration cap on the decided subsets keep accidental blowups from
+running away.
 
 Greedy peel starts from the whole network and repeatedly removes the actor
 with the most violated per-actor atoms (ties broken by lowest total
@@ -25,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .evaluator import EvaluationReport, evaluate, satisfies
+from .evaluator import EvaluationReport, evaluate, satisfies, search_limits
 from .metrics import MetricId, actor_metric, network_metric
 from .network import SocialNetwork
 from .requirements import RequirementSet
@@ -42,7 +59,11 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Size window, objective (one of OBJECTIVES), and enumeration cap."""
+    """Size window, objective (one of OBJECTIVES), and enumeration cap.
+
+    The cap bounds the subsets exhaustive search decides; subsets its
+    requirement rules exclude beforehand do not count.
+    """
 
     min_size: int
     max_size: int
@@ -103,6 +124,45 @@ def _subnet_name(network_name: str, actors: tuple[str, ...]) -> str:
     return f"{network_name}[{','.join(actors)}]"
 
 
+def _subsets(
+    actors: tuple[str, ...],
+    k: int,
+    conflicts: frozenset[tuple[str, str]],
+    anchor: str | None,
+):
+    """The k-subsets of ``actors`` that hold ``anchor`` (if given) and no
+    pair of ``conflicts``, lexicographically by position in ``actors``.
+
+    Backtracking extends a prefix with each candidate in turn and keeps, as
+    the next candidates, the later actors that do not conflict with it, so
+    no subset holding a conflicting pair is ever built. Once the prefix
+    holds the anchor and no two candidates conflict (or one actor is left
+    to pick), every choice of the rest completes it. ``conflicts`` pairs
+    list the earlier actor first.
+    """
+
+    def extend(prefix, candidates, left, has_anchor):
+        if has_anchor and (
+            left < 2
+            or not conflicts
+            or conflicts.isdisjoint(itertools.combinations(candidates, 2))
+        ):
+            yield from map(prefix.__add__, itertools.combinations(candidates, left))
+            return
+        for i in range(len(candidates) - left + 1):
+            actor = candidates[i]
+            # The last place is the anchor's until the anchor is chosen.
+            if actor == anchor or left > 1:
+                rest = [c for c in candidates[i + 1 :] if (actor, c) not in conflicts]
+                yield from extend(
+                    (*prefix, actor), rest, left - 1, has_anchor or actor == anchor
+                )
+            if actor == anchor:
+                return  # every later subset would leave the anchor out
+
+    return extend((), actors, k, anchor is None)
+
+
 def search_exhaustive(
     net: SocialNetwork,
     reqs: RequirementSet,
@@ -117,10 +177,12 @@ def search_exhaustive(
     """All satisfying subsets in the size window, best objective first.
 
     Subsets are enumerated largest-size first, lexicographically by actor
-    order within a size; with objective "first" the first hit is returned
-    alone. Results are sorted by descending objective value, then by actor
-    order. Raises SearchError if the network exceeds ``size_guard`` actors
-    or the enumeration cap is hit before the window is exhausted.
+    order within a size, skipping those that ``search_limits`` rules out
+    (see the module docstring); with objective "first" the first hit is
+    returned alone. Results are sorted by descending objective value, then
+    by actor order. Raises SearchError if the network exceeds
+    ``size_guard`` actors or more subsets than the enumeration cap would
+    have to be decided.
     """
     if net.size > size_guard:
         raise SearchError(
@@ -129,22 +191,19 @@ def search_exhaustive(
         )
     _check_bounds(net, cfg)
     effective = _resolve_anchor(net, reqs, anchor)
+    sizes, actors, conflicts = search_limits(
+        net, reqs, effective, view=view, mode=mode
+    )
+    if effective is not None and effective not in actors:
+        return []
     index = {a: i for i, a in enumerate(net.actors)}
 
     examined = 0
     solutions: list[SubnetworkSolution] = []
     for k in range(cfg.max_size, cfg.min_size - 1, -1):
-        if effective is not None:
-            others = [a for a in net.actors if a != effective]
-            if k - 1 > len(others):
-                continue
-            combos = (
-                tuple(sorted((effective, *rest), key=index.__getitem__))
-                for rest in itertools.combinations(others, k - 1)
-            )
-        else:
-            combos = itertools.combinations(net.actors, k)
-        for combo in combos:
+        if k not in sizes:
+            continue
+        for combo in _subsets(actors, k, conflicts, effective):
             examined += 1
             if examined > cfg.enumeration_cap:
                 raise SearchError(

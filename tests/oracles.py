@@ -2,7 +2,10 @@
 
 Everything here works from a plain (actors, ties) pair using exhaustive
 simple-path enumeration and direct scans, deliberately sharing no code
-with the package so that agreement is meaningful evidence.
+with the package so that agreement is meaningful evidence. The one
+exception, ``brute_search``, decides subsets with ``evaluate`` but shares
+no code with the search module: it builds every subnetwork itself and
+rules nothing out.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from vbereq import SocialNetwork, evaluate
 from vbereq.values import UNDEFINED, UNREACHABLE
 
 Ties = frozenset
@@ -181,3 +185,36 @@ def brute_planner(actors, ties) -> list[str]:
         for a in brute_broker(actors, ties)
         if _brute_above_others(actors, a, lambda x: _brute_recip_density(ties, x))
     ]
+
+
+# -- search --------------------------------------------------------------------
+
+
+def brute_search(
+    net, reqs, min_size, max_size, anchor, objective, *, view, mode
+) -> list[tuple[tuple[str, ...], int | Fraction]]:
+    """(actors, objective value) of every satisfying subset in the window,
+    best first, or only the first one search meets for objective "first".
+
+    Every subset is built from the parent's internal ties and evaluated;
+    density is the objective value of a subnetwork, 0 when undefined.
+    """
+    found = []
+    for k in range(min_size, max_size + 1):
+        for combo in itertools.combinations(net.actors, k):
+            if anchor is not None and anchor not in combo:
+                continue
+            ties = frozenset((a, b) for a, b in net.ties if a in combo and b in combo)
+            sub = SocialNetwork(combo, ties)
+            if not evaluate(sub, reqs, anchor, parent=net, view=view, mode=mode).overall:
+                continue
+            value = k
+            if objective == "density":
+                value = brute_density(combo, ties)
+                value = Fraction(0) if value is UNDEFINED else value
+            found.append((combo, value))
+    position = {a: i for i, a in enumerate(net.actors)}
+    if objective == "first":
+        # Search meets the largest subsets first, each size in actor order.
+        return sorted(found, key=lambda f: (-len(f[0]), [position[a] for a in f[0]]))[:1]
+    return sorted(found, key=lambda f: (-f[1], [position[a] for a in f[0]]))

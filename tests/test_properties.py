@@ -1,5 +1,6 @@
 """Property-based tests over random networks and requirement sets."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -44,9 +45,11 @@ from vbereq import (
     serialize_matrix_csv,
     serialize_requirements,
     SearchConfig,
+    SearchError,
     is_defined,
 )
-from vbereq.evaluator import satisfies
+from vbereq.evaluator import satisfies, search_limits
+from vbereq.fixtures import load_wholesale, load_wholesaler_requirements
 from vbereq.metrics import (
     ACTOR_METRICS,
     METRIC_TABLE,
@@ -55,7 +58,8 @@ from vbereq.metrics import (
     UNIT_INTERVAL_METRICS,
     VIEWS,
 )
-from tests.oracles import brute_broker, brute_member, brute_planner
+from vbereq.search import OBJECTIVES
+from tests.oracles import brute_broker, brute_member, brute_planner, brute_search
 
 ACTORS = tuple("ABCDEFGHIJ")
 
@@ -395,6 +399,96 @@ class TestSearchInvariants:
             assert check.overall
             values.append(Fraction(sol.objective_value))
         assert values == sorted(values, reverse=True)
+
+
+@st.composite
+def path_rule_sets(draw):
+    """One or two path rules alone: they pass often enough that a solution
+    lost to pruning would show."""
+    anchored = draw(st.booleans())
+    reqs = [Requirement("anchor", AnchorDesignation())] if anchored else []
+    scopes = [PathScope.ALL_PAIRS]
+    if anchored:
+        scopes += [PathScope.ANCHOR_TO_OTHERS, PathScope.OTHERS_TO_OTHERS]
+    for _ in range(draw(st.integers(1, 2))):
+        body = PairwisePath(
+            draw(st.sampled_from(scopes)), draw(_COMPARATORS), draw(st.integers(0, 4))
+        )
+        reqs.append(Requirement(f"r{len(reqs) + 1}", body))
+    return RequirementSet("paths", tuple(reqs))
+
+
+@st.composite
+def search_cases(draw, max_size: int = 7):
+    """(network, requirement set with @parent atoms, anchor, min, max)."""
+    net = draw(networks(max_size=max_size))
+    reqs = draw(st.one_of(requirement_sets(allow_parent=True), path_rule_sets()))
+    anchor = draw(st.sampled_from(net.actors)) if reqs.needs_anchor else None
+    lo = draw(st.integers(1, net.size))
+    hi = draw(st.integers(lo, net.size))
+    return net, reqs, anchor, lo, hi
+
+
+# The bundled case: only sizes of 4 and four friends of A are left to decide.
+WHOLESALE_CASE = (load_wholesale(), load_wholesaler_requirements(), "A", 1, 10)
+
+
+class TestSearchAgainstBruteForce:
+    """Pruned exhaustive search finds what deciding every subset finds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        search_cases(),
+        st.sampled_from(VIEWS),
+        st.sampled_from(MODES),
+        st.sampled_from(OBJECTIVES),
+    )
+    @example(WHOLESALE_CASE, "undirected", "strict", "size")
+    @example(WHOLESALE_CASE, "directed", "lenient", "first")
+    def test_same_solutions_as_brute_force(self, case, view, mode, objective):
+        net, reqs, anchor, lo, hi = case
+        cfg = SearchConfig(lo, hi, objective=objective)
+        found = search_exhaustive(net, reqs, cfg, anchor, view=view, mode=mode)
+        assert [(s.actors, s.objective_value) for s in found] == brute_search(
+            net, reqs, lo, hi, anchor, objective, view=view, mode=mode
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(), st.sampled_from(VIEWS))
+    @example(WHOLESALE_CASE, "undirected")
+    def test_cap_counts_exactly_the_subsets_no_rule_excludes(self, case, view):
+        net, reqs, anchor, lo, hi = case
+        sizes, actors, conflicts = search_limits(net, reqs, anchor, view=view)
+        decided = sum(
+            1
+            for k in range(lo, hi + 1)
+            if k in sizes
+            for combo in itertools.combinations(actors, k)
+            if (anchor is None or anchor in combo)
+            and conflicts.isdisjoint(itertools.combinations(combo, 2))
+        )
+        cfg = SearchConfig(lo, hi, enumeration_cap=max(decided, 1))
+        search_exhaustive(net, reqs, cfg, anchor, view=view)
+        if decided > 1:
+            cfg = SearchConfig(lo, hi, enumeration_cap=decided - 1)
+            with pytest.raises(SearchError, match="cap exceeded"):
+                search_exhaustive(net, reqs, cfg, anchor, view=view)
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(), st.sampled_from(VIEWS), st.sampled_from(MODES))
+    @example(WHOLESALE_CASE, "undirected", "strict")
+    def test_limits_exclude_no_satisfying_subset(self, case, view, mode):
+        net, reqs, anchor, _, _ = case
+        sizes, admissible, conflicts = search_limits(
+            net, reqs, anchor, view=view, mode=mode
+        )
+        satisfying = brute_search(
+            net, reqs, 1, net.size, anchor, "size", view=view, mode=mode
+        )
+        for actors, _ in satisfying:
+            assert len(actors) in sizes
+            assert set(actors) <= set(admissible)
+            assert not conflicts & set(itertools.combinations(actors, 2))
 
 
 @st.composite

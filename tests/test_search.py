@@ -5,11 +5,15 @@ from fractions import Fraction
 import pytest
 
 from vbereq import (
+    AnchorDesignation,
     Atom,
     Comparator,
+    EvaluationError,
     ForAllActors,
     MetricId,
     NetworkConstraint,
+    PairwisePath,
+    PathScope,
     Requirement,
     RequirementSet,
     SearchConfig,
@@ -21,6 +25,7 @@ from vbereq import (
     search_greedy_peel,
     template_member,
 )
+from vbereq.evaluator import search_limits
 
 
 def members_only_reqs():
@@ -104,6 +109,54 @@ class TestExhaustive:
         with pytest.raises(SearchError, match="cap exceeded"):
             search_exhaustive(steel10, steel_vbe_reqs, cfg)
 
+    def test_cap_counts_decided_subsets(self, wholesale, wholesaler_reqs):
+        # The window 1..10 holds 511 subsets with A, but size == 4 and the
+        # path and @parent rules leave 4 to decide, all of them solutions.
+        uncapped = search_exhaustive(
+            wholesale, wholesaler_reqs, SearchConfig(1, 10), "A", view="undirected"
+        )
+        capped = search_exhaustive(
+            wholesale,
+            wholesaler_reqs,
+            SearchConfig(1, 10, enumeration_cap=20),
+            "A",
+            view="undirected",
+        )
+        assert [s.actors for s in capped] == [s.actors for s in uncapped] == [
+            ("A", "C", "E", "F"),
+            ("A", "C", "E", "I"),
+            ("A", "C", "F", "I"),
+            ("A", "E", "F", "I"),
+        ]
+        with pytest.raises(SearchError, match="cap exceeded after 3 subsets"):
+            search_exhaustive(
+                wholesale,
+                wholesaler_reqs,
+                SearchConfig(1, 10, enumeration_cap=3),
+                "A",
+                view="undirected",
+            )
+
+    def test_anchor_failing_a_parent_forall_decides_nothing(self, wholesale):
+        # J's only partner is A, so J fails the rule on the parent and no
+        # subset holding J can pass; the cap of 1 shows none is decided.
+        def partnered(except_anchor):
+            rule = ForAllActors(
+                Atom(MetricId.NEIGHBORHOOD_SIZE, Comparator.GT, 1, on_parent=True),
+                except_anchor=except_anchor,
+            )
+            return RequirementSet(
+                "partnered",
+                (Requirement("anchor", AnchorDesignation()), Requirement("p", rule)),
+            )
+
+        cfg = SearchConfig(1, 10, enumeration_cap=1)
+        assert search_exhaustive(wholesale, partnered(False), cfg, "J") == []
+        # Exempt, J joins any subset of the five actors with two partners.
+        exempt = search_exhaustive(wholesale, partnered(True), SearchConfig(1, 10), "J")
+        assert len(exempt) == 2**5
+        assert {a for s in exempt for a in s.actors} == set("ACEFIJ")
+
     def test_size_guard(self):
         big = SocialNetwork(tuple(f"a{i}" for i in range(21)))
         reqs = RequirementSet(
@@ -118,6 +171,80 @@ class TestExhaustive:
             search_exhaustive(wholesale, wholesaler_reqs, SearchConfig(4, 4))
         with pytest.raises(SearchError, match="not an actor"):
             search_exhaustive(wholesale, wholesaler_reqs, SearchConfig(4, 4), "Z")
+
+
+class TestSearchLimits:
+    def test_wholesaler_leaves_four_friends_of_the_anchor(
+        self, wholesale, wholesaler_reqs
+    ):
+        # J has no partner but A; B, D, G and H are no friends of A.
+        assert search_limits(wholesale, wholesaler_reqs, "A", view="undirected") == (
+            {4}, ("A", "C", "E", "F", "I"), frozenset()
+        )
+        acquainted = SocialNetwork(
+            wholesale.actors, wholesale.ties | {("C", "E"), ("E", "C")}
+        )
+        *_, conflicts = search_limits(acquainted, wholesaler_reqs, "A", view="undirected")
+        assert conflicts == {("C", "E")}
+        # Of the four subsets left, the two holding C and E are never built.
+        cfg = SearchConfig(4, 4, enumeration_cap=2)
+        solutions = search_exhaustive(
+            acquainted, wholesaler_reqs, cfg, "A", view="undirected"
+        )
+        assert [s.actors for s in solutions] == [("A", "C", "F", "I"), ("A", "E", "F", "I")]
+
+    @pytest.mark.parametrize(
+        "rule, admissible",
+        [
+            # From A, B is 1 hop away, C 2, D 3, and E cannot be reached.
+            ((Comparator.LT, 2), "AB"),
+            ((Comparator.LE, 2), "ABC"),
+            ((Comparator.EQ, 2), "AC"),
+            ((Comparator.GT, 1), "ACD"),
+            ((Comparator.GE, 1), "ABCD"),
+        ],
+    )
+    def test_path_lengths_the_parent_already_breaks(self, rule, admissible):
+        chain = SocialNetwork(tuple("ABCDE"), frozenset({("A", "B"), ("B", "C"), ("C", "D")}))
+        reqs = RequirementSet(
+            "reach",
+            (
+                Requirement("anchor", AnchorDesignation()),
+                Requirement("p", PairwisePath(PathScope.ANCHOR_TO_OTHERS, *rule)),
+            ),
+        )
+        assert search_limits(chain, reqs, "A") == (
+            set(range(1, 6)), tuple(admissible), frozenset()
+        )
+        # Among the others, tied pairs and pairs with E break "> 1".
+        apart = RequirementSet(
+            "apart",
+            (
+                Requirement("anchor", AnchorDesignation()),
+                Requirement(
+                    "p", PairwisePath(PathScope.OTHERS_TO_OTHERS, Comparator.GT, 1)
+                ),
+            ),
+        )
+        assert search_limits(chain, apart, "A", view="undirected")[2] == {
+            ("B", "C"), ("C", "D"), ("B", "E"), ("C", "E"), ("D", "E")
+        }
+
+    def test_steel_vbe_rules_out_no_actor_and_no_pair(self, steel10, steel_vbe_reqs):
+        for view in ("directed", "undirected"):
+            assert search_limits(steel10, steel_vbe_reqs, view=view) == (
+                set(range(5, 11)), steel10.actors, frozenset()
+            )
+
+    def test_raises_what_evaluate_raises(self, wholesale, wholesaler_reqs):
+        with pytest.raises(EvaluationError, match="view must be one of"):
+            search_limits(wholesale, wholesaler_reqs, "A", view="sideways")
+        with pytest.raises(EvaluationError, match="view must be one of"):
+            search_exhaustive(
+                wholesale, wholesaler_reqs, SearchConfig(4, 4), "A", view="sideways"
+            )
+        with pytest.raises(EvaluationError, match="supply one"):
+            search_limits(wholesale, wholesaler_reqs)
 
 
 class TestGreedyPeel:
