@@ -25,6 +25,7 @@ from .evaluator import (
     evaluate,
     role_candidates,
 )
+from .fixtures import template_steel_vbe, template_wholesaler
 from .metrics import (
     ACTOR_METRICS,
     NETWORK_METRICS,
@@ -74,8 +75,6 @@ from .requirements import (
     template_generic_vbe,
     template_member,
     template_planner,
-    template_steel_vbe,
-    template_wholesaler,
 )
 from .search import (
     SearchConfig,

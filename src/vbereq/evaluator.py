@@ -7,14 +7,13 @@ and per-role candidate lists. Atoms flagged ``@parent`` are computed on
 the parent network (the network a candidate subset was drawn from); all
 other constraints see the network under evaluation.
 
-``satisfies`` makes the same decision as ``evaluate(...).overall`` through
-the same verdict code, but stops at the first failing requirement and
-builds no explanation; searches call it on every candidate and
-``evaluate`` only on the ones that pass. ``search_limits`` reads, once per
-search, the sizes, actors and pairs that the rules already exclude, so the
-search decides only the subsets that could still pass. A report screens
-its network for role candidacies the first time ``role_candidacies`` is
-read, so a report that is never rendered never pays for screening.
+A ``SubsetJudge`` serves one search over the subsets of a parent: built
+once, it checks view, mode and anchor as ``evaluate`` does and reads what
+the rules already exclude; it then decides each subset it is handed with
+the same verdict code, stopping at the first failing requirement and
+checking no precondition again. A report screens its network for role
+candidacies the first time ``role_candidacies`` is read, so a report that
+is never rendered never pays for screening.
 
 Within one call, ``avg_others`` comes from one total per network and
 metric minus the actor's own value, so a predicate costs O(atoms) per
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal
+from typing import Iterable, Literal
 
 from .metrics import (
     MODES,
@@ -64,7 +63,7 @@ from .requirements import (
     template_member,
     template_planner,
 )
-from .values import UNDEFINED, MetricResult, fraction_str, is_defined
+from .values import UNDEFINED, UNREACHABLE, MetricResult, fraction_str, is_defined
 
 
 class EvaluationError(ValueError):
@@ -238,7 +237,7 @@ def _screen(predicate, scope: _Scope) -> list[str]:
 #
 # Each verdict function decides first. With ``explain`` false it returns the
 # bare decision as soon as it is known, with no detail text, so that
-# ``satisfies`` and ``evaluate`` share one copy of every rule.
+# ``SubsetJudge`` and ``evaluate`` share one copy of every rule.
 
 
 def _decided(req: Requirement, satisfied: bool) -> Verdict:
@@ -412,21 +411,19 @@ def _checked_scope(
                     f"ties of {actor!r} differ from those the parent network "
                     f"induces on the evaluated actors"
                 )
-    if reqs.needs_anchor:
-        effective = anchor if anchor is not None else reqs.anchor
-        if effective is None:
-            raise EvaluationError(
-                f"requirement set {reqs.name!r} designates an anchor; "
-                f"supply one at evaluation time"
-            )
-        if effective not in net:
-            raise EvaluationError(f"anchor {effective!r} is not an actor of the network")
-    elif anchor is not None:
+    # A set that designates no anchor pins none either.
+    effective = anchor if anchor is not None else reqs.anchor
+    if not reqs.needs_anchor and anchor is not None:
         raise EvaluationError(
             f"requirement set {reqs.name!r} does not designate an anchor"
         )
-    else:
-        effective = None
+    if reqs.needs_anchor and effective is None:
+        raise EvaluationError(
+            f"requirement set {reqs.name!r} designates an anchor; "
+            f"supply one at evaluation time"
+        )
+    if effective is not None and effective not in net:
+        raise EvaluationError(f"anchor {effective!r} is not an actor of the network")
     return _Scope(net, parent, effective, view, mode)
 
 
@@ -460,25 +457,7 @@ def evaluate(
     )
 
 
-def satisfies(
-    net: SocialNetwork,
-    reqs: RequirementSet,
-    anchor: str | None = None,
-    *,
-    parent: SocialNetwork | None = None,
-    view: str = "directed",
-    mode: str = "strict",
-) -> bool:
-    """``evaluate(...).overall``, decided without building the report.
-
-    Makes the same checks and raises the same errors as :func:`evaluate`,
-    then stops at the first requirement that fails.
-    """
-    scope = _checked_scope(net, reqs, anchor, parent, view, mode)
-    return all(_verdict(req, scope, False).satisfied for req in reqs.requirements)
-
-
-# -- search limits -------------------------------------------------------------
+# -- subset judge --------------------------------------------------------------
 
 
 def _atoms(pred) -> list[Atom]:
@@ -507,60 +486,78 @@ def _length_ruled_out(body: PairwisePath, length: MetricResult) -> bool:
     return most is not None and length > most
 
 
-def search_limits(
-    parent: SocialNetwork,
-    reqs: RequirementSet,
-    anchor: str | None = None,
-    *,
-    view: str = "directed",
-    mode: str = "strict",
-) -> tuple[frozenset[int], tuple[str, ...], frozenset[tuple[str, str]]]:
-    """What ``reqs`` rules out of the subsets of ``parent`` that could
-    satisfy it: ``(sizes, actors, conflicts)``, the subset sizes every
-    ``size`` constraint allows, the actors (in parent order) such a subset
-    may contain, and the pairs (x, y) of those actors, x before y, that it
-    cannot contain together.
+class SubsetJudge:
+    """Decides, for one search, which subsets of ``parent`` satisfy ``reqs``.
 
+    Construction raises what :func:`evaluate` raises for ``view``, ``mode``
+    and ``anchor``, then keeps the effective ``anchor`` and what the rules
+    rule out: ``sizes``, the sizes every ``size`` constraint allows;
+    ``actors``, in parent order, those a satisfying subset may hold; and
+    ``conflicts``, pairs (x, y) of them, x first, it cannot hold together.
     A ``forall`` whose atoms are all ``@parent`` excludes the actors failing
-    it on the parent (the anchor too, unless ``except anchor``). A path rule
-    excludes the pairs ``_length_ruled_out`` names, and a pair with the
-    anchor excludes the other actor. No other rule limits anything. Raises
-    what :func:`evaluate` raises for ``view``, ``mode`` and ``anchor``.
+    it on the parent (the anchor too, unless ``except anchor``). A path
+    rule excludes the pairs ``_length_ruled_out`` names, and a pair with
+    the anchor excludes the other actor. No other rule limits anything.
     """
-    scope = _checked_scope(parent, reqs, anchor, None, view, mode)
-    anchor = scope.anchor
-    sizes = range(1, parent.size + 1)
-    excluded: set[str] = set()
-    conflicts: set[tuple[str, str]] = set()
-    order = {a: i for i, a in enumerate(parent.actors)}
-    for req in reqs.requirements:
-        body = req.body
-        if isinstance(body, NetworkConstraint) and body.metric is MetricId.SIZE:
-            sizes = [k for k in sizes if body.cmp.holds(k, body.threshold)]
-        elif isinstance(body, ForAllActors) and all(
-            atom.on_parent for atom in _atoms(body.predicate)
-        ):
-            excluded.update(
-                a
-                for a in parent.actors
-                if not (body.except_anchor and a == anchor)
-                and not _holds(body.predicate, a, scope)
-            )
-        elif isinstance(body, PairwisePath):
-            for x, y in _path_pairs(body.between, parent.actors, anchor):
-                if not _length_ruled_out(
-                    body, shortest_path_length(parent, x, y, view=view)
-                ):
-                    continue
-                if anchor in (x, y):
-                    excluded.add(y if x == anchor else x)
-                else:
-                    conflicts.add((x, y) if order[x] < order[y] else (y, x))
-    return (
-        frozenset(sizes),
-        tuple(a for a in parent.actors if a not in excluded),
-        frozenset(pair for pair in conflicts if excluded.isdisjoint(pair)),
-    )
+
+    def __init__(
+        self,
+        parent: SocialNetwork,
+        reqs: RequirementSet,
+        anchor: str | None = None,
+        *,
+        view: str = "directed",
+        mode: str = "strict",
+    ) -> None:
+        scope = _checked_scope(parent, reqs, anchor, None, view, mode)
+        self.parent = parent
+        self.reqs = reqs
+        self.anchor = anchor = scope.anchor
+        self.view = view
+        self.mode = mode
+        sizes = range(1, parent.size + 1)
+        excluded: set[str] = set()
+        conflicts: set[tuple[str, str]] = set()
+        order = {a: i for i, a in enumerate(parent.actors)}
+        rows = parent.distances(view == "undirected")
+        for req in reqs.requirements:
+            body = req.body
+            if isinstance(body, NetworkConstraint) and body.metric is MetricId.SIZE:
+                sizes = [k for k in sizes if body.cmp.holds(k, body.threshold)]
+            elif isinstance(body, ForAllActors) and all(
+                atom.on_parent for atom in _atoms(body.predicate)
+            ):
+                excluded.update(
+                    a
+                    for a in parent.actors
+                    if not (body.except_anchor and a == anchor)
+                    and not _holds(body.predicate, a, scope)
+                )
+            elif isinstance(body, PairwisePath):
+                for x, y in _path_pairs(body.between, parent.actors, anchor):
+                    if not _length_ruled_out(body, rows[x].get(y, UNREACHABLE)):
+                        continue
+                    if anchor in (x, y):
+                        excluded.add(y if x == anchor else x)
+                    else:
+                        conflicts.add((x, y) if order[x] < order[y] else (y, x))
+        self.sizes = frozenset(sizes)
+        self.actors = tuple(a for a in parent.actors if a not in excluded)
+        self.conflicts = frozenset(
+            pair for pair in conflicts if excluded.isdisjoint(pair)
+        )
+
+    def decide(self, actors: Iterable[str]) -> SocialNetwork | None:
+        """``parent.induced(actors)`` if it satisfies the set, else None.
+
+        ``actors`` must hold the anchor. Decides ``evaluate(...).overall``
+        but stops at the first failing requirement and checks no precondition.
+        """
+        sub = self.parent.induced(actors)
+        scope = _Scope(sub, self.parent, self.anchor, self.view, self.mode)
+        if all(_verdict(req, scope, False).satisfied for req in self.reqs.requirements):
+            return sub
+        return None
 
 
 def role_candidates(

@@ -357,84 +357,3 @@ def template_planner() -> ActorPredicate:
             ),
         )
     )
-
-
-def template_steel_vbe() -> RequirementSet:
-    """The five requirements of the steel-manufacturers case: minimum size,
-    network density and reciprocity above 50%, at least one broker-grade
-    actor, and at least one planner-grade actor."""
-    return RequirementSet(
-        "steel-vbe",
-        (
-            Requirement("min-size", NetworkConstraint(MetricId.SIZE, Comparator.GE, 5)),
-            Requirement(
-                "density",
-                NetworkConstraint(MetricId.DENSITY, Comparator.GT, Fraction(1, 2)),
-            ),
-            Requirement(
-                "reciprocity",
-                NetworkConstraint(
-                    MetricId.RECIPROCATED_TIE_RATIO, Comparator.GT, Fraction(1, 2)
-                ),
-            ),
-            Requirement(
-                "broker-exists",
-                CountActors(
-                    Atom(MetricId.IN_DENSITY, Comparator.GT, Fraction(4, 5)),
-                    Comparator.GE,
-                    1,
-                ),
-            ),
-            Requirement(
-                "planner-exists",
-                CountActors(
-                    And(
-                        (
-                            Atom(MetricId.IN_DENSITY, Comparator.GT, Fraction(4, 5)),
-                            Atom(MetricId.OUT_DENSITY, Comparator.GT, Fraction(7, 10)),
-                            Atom(
-                                MetricId.RECIPROCATED_DENSITY,
-                                Comparator.GT,
-                                Fraction(4, 5),
-                            ),
-                        )
-                    ),
-                    Comparator.GE,
-                    1,
-                ),
-            ),
-        ),
-    )
-
-
-def template_wholesaler() -> RequirementSet:
-    """The wholesaler's distributor-group requirements: a group of four
-    around an anchor, each member a direct friend of the anchor, members
-    pairwise not directly acquainted, and each member keeping at least one
-    partner besides the anchor (measured on the full parent network)."""
-    return RequirementSet(
-        "wholesaler",
-        (
-            Requirement("anchor", AnchorDesignation()),
-            Requirement(
-                "group-size", NetworkConstraint(MetricId.SIZE, Comparator.EQ, 4)
-            ),
-            Requirement(
-                "direct-friends",
-                PairwisePath(PathScope.ANCHOR_TO_OTHERS, Comparator.EQ, 1),
-            ),
-            Requirement(
-                "not-acquainted",
-                PairwisePath(PathScope.OTHERS_TO_OTHERS, Comparator.GT, 1),
-            ),
-            Requirement(
-                "outside-partner",
-                ForAllActors(
-                    Atom(
-                        MetricId.NEIGHBORHOOD_SIZE, Comparator.GT, 1, on_parent=True
-                    ),
-                    except_anchor=True,
-                ),
-            ),
-        ),
-    )

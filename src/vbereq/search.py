@@ -1,13 +1,13 @@
 """Induced-subnetwork search: exhaustive enumeration and greedy peeling.
 
-Exhaustive mode first asks ``search_limits`` what the requirement set
-already rules out, then enumerates by backtracking only the subsets that
-survive, and decides each induced subnetwork with ``satisfies`` (which
-stops at the first failing requirement and explains nothing); the full
-``evaluate`` report is built only for the subsets that pass, which it
-returns. Every subset of the size window (for anchored requirement sets,
-every subset containing the anchor) is either decided or ruled out by one
-of these rules, each sound for every induced subnetwork:
+Exhaustive mode builds one ``SubsetJudge`` per search, which checks the
+anchor, view and mode once and reads what the requirement set already
+rules out; it enumerates by backtracking only the subsets that survive, has
+the judge decide each (stopping at the first failing requirement, with no
+explanation), and builds the full ``evaluate`` report only for the subsets
+that pass, which it returns. Every subset of the size window (for anchored
+requirement sets, every subset containing the anchor) is either decided or
+ruled out by one of these rules, each sound for every induced subnetwork:
 
 * sizes that a ``size`` constraint rejects are skipped, since the size of
   a subset is the number of its actors;
@@ -21,9 +21,9 @@ of these rules, each sound for every induced subnetwork:
   below the parent's and an unreachable pair stays unreachable.
 
 Density, reciprocity and counts can rise or fall as actors join, so they
-never prune; every surviving subset still goes through ``satisfies``,
-which also catches lengths that grow or become unreachable. A size guard
-and an enumeration cap on the decided subsets keep accidental blowups from
+never prune; the judge still decides every surviving subset, which also
+catches lengths that grow or become unreachable. A size guard and an
+enumeration cap on the decided subsets keep accidental blowups from
 running away.
 
 Greedy peel starts from the whole network and repeatedly removes the actor
@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .evaluator import EvaluationReport, evaluate, satisfies, search_limits
+from .evaluator import EvaluationReport, SubsetJudge, evaluate
 from .metrics import MetricId, actor_metric, network_metric
 from .network import SocialNetwork
 from .requirements import RequirementSet
@@ -96,21 +96,6 @@ def _check_bounds(net: SocialNetwork, cfg: SearchConfig) -> None:
             f"size bounds invalid: max_size {cfg.max_size} exceeds "
             f"network size {net.size}"
         )
-
-
-def _resolve_anchor(
-    net: SocialNetwork, reqs: RequirementSet, anchor: str | None
-) -> str | None:
-    if not reqs.needs_anchor:
-        return None
-    effective = anchor if anchor is not None else reqs.anchor
-    if effective is None:
-        raise SearchError(
-            f"requirement set {reqs.name!r} designates an anchor; supply one"
-        )
-    if effective not in net:
-        raise SearchError(f"anchor {effective!r} is not an actor of the network")
-    return effective
 
 
 def _objective_value(cfg: SearchConfig, sub: SocialNetwork) -> int | Fraction:
@@ -172,50 +157,46 @@ def search_exhaustive(
     network_name: str = "network",
     view: str = "directed",
     mode: str = "strict",
-    size_guard: int = EXHAUSTIVE_SIZE_GUARD,
 ) -> list[SubnetworkSolution]:
     """All satisfying subsets in the size window, best objective first.
 
     Subsets are enumerated largest-size first, lexicographically by actor
-    order within a size, skipping those that ``search_limits`` rules out
-    (see the module docstring); with objective "first" the first hit is
-    returned alone. Results are sorted by descending objective value, then
-    by actor order. Raises SearchError if the network exceeds
-    ``size_guard`` actors or more subsets than the enumeration cap would
-    have to be decided.
+    order within a size, skipping those that the judge rules out (see the
+    module docstring); with objective "first" the first hit is returned
+    alone. Results are sorted by descending objective value, then by actor
+    order. Raises SearchError if the network exceeds EXHAUSTIVE_SIZE_GUARD
+    actors or more subsets than the enumeration cap would have to be
+    decided, and what :func:`evaluate` raises for the anchor, view or mode.
     """
-    if net.size > size_guard:
+    if net.size > EXHAUSTIVE_SIZE_GUARD:
         raise SearchError(
             f"refusing exhaustive enumeration over {net.size} actors "
-            f"(guard is {size_guard})"
+            f"(guard is {EXHAUSTIVE_SIZE_GUARD})"
         )
     _check_bounds(net, cfg)
-    effective = _resolve_anchor(net, reqs, anchor)
-    sizes, actors, conflicts = search_limits(
-        net, reqs, effective, view=view, mode=mode
-    )
-    if effective is not None and effective not in actors:
+    judge = SubsetJudge(net, reqs, anchor, view=view, mode=mode)
+    if judge.anchor is not None and judge.anchor not in judge.actors:
         return []
     index = {a: i for i, a in enumerate(net.actors)}
 
     examined = 0
     solutions: list[SubnetworkSolution] = []
     for k in range(cfg.max_size, cfg.min_size - 1, -1):
-        if k not in sizes:
+        if k not in judge.sizes:
             continue
-        for combo in _subsets(actors, k, conflicts, effective):
+        for combo in _subsets(judge.actors, k, judge.conflicts, judge.anchor):
             examined += 1
             if examined > cfg.enumeration_cap:
                 raise SearchError(
                     f"enumeration cap exceeded after {cfg.enumeration_cap} subsets"
                 )
-            sub = net.induced(combo)
-            if not satisfies(sub, reqs, effective, parent=net, view=view, mode=mode):
+            sub = judge.decide(combo)
+            if sub is None:
                 continue
             report = evaluate(
                 sub,
                 reqs,
-                effective,
+                judge.anchor,
                 parent=net,
                 network_name=_subnet_name(network_name, combo),
                 view=view,
@@ -248,10 +229,10 @@ def search_greedy_peel(
 
     Returns the first satisfying network whose size also fits the window,
     with the removal trace recorded in the report; None once peeling
-    would cross min_size without success.
+    would cross min_size without success. Raises what :func:`evaluate`
+    raises for the anchor, view or mode.
     """
     _check_bounds(net, cfg)
-    effective = _resolve_anchor(net, reqs, anchor)
 
     current = net
     trace: list[str] = []
@@ -259,7 +240,7 @@ def search_greedy_peel(
         report = evaluate(
             current,
             reqs,
-            effective,
+            anchor,
             parent=net,
             network_name=_subnet_name(network_name, current.actors),
             view=view,
@@ -278,7 +259,7 @@ def search_greedy_peel(
             if not verdict.satisfied
             for actor, _ in verdict.violators
         )
-        candidates = [(i, a) for i, a in enumerate(current.actors) if a != effective]
+        candidates = [(i, a) for i, a in enumerate(current.actors) if a != report.anchor]
         if not candidates:
             return None
         _, victim = max(

@@ -9,9 +9,9 @@ import pytest
 from vbereq import SocialNetwork
 from vbereq.fixtures import (
     load_steel10,
-    load_steel_vbe_requirements,
     load_wholesale,
-    load_wholesaler_requirements,
+    template_steel_vbe,
+    template_wholesaler,
 )
 
 ACTORS10 = tuple("ABCDEFGHIJ")
@@ -24,7 +24,7 @@ def steel10() -> SocialNetwork:
 
 @pytest.fixture(scope="session")
 def steel_vbe_reqs():
-    return load_steel_vbe_requirements()
+    return template_steel_vbe()
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +34,7 @@ def wholesale() -> SocialNetwork:
 
 @pytest.fixture(scope="session")
 def wholesaler_reqs():
-    return load_wholesaler_requirements()
+    return template_wholesaler()
 
 
 def make_steel10_f3(base: SocialNetwork) -> SocialNetwork:

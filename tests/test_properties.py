@@ -48,8 +48,8 @@ from vbereq import (
     SearchError,
     is_defined,
 )
-from vbereq.evaluator import satisfies, search_limits
-from vbereq.fixtures import load_wholesale, load_wholesaler_requirements
+from vbereq.evaluator import SubsetJudge
+from vbereq.fixtures import load_wholesale, template_wholesaler
 from vbereq.metrics import (
     ACTOR_METRICS,
     METRIC_TABLE,
@@ -430,7 +430,13 @@ def search_cases(draw, max_size: int = 7):
 
 
 # The bundled case: only sizes of 4 and four friends of A are left to decide.
-WHOLESALE_CASE = (load_wholesale(), load_wholesaler_requirements(), "A", 1, 10)
+WHOLESALE_CASE = (load_wholesale(), template_wholesaler(), "A", 1, 10)
+
+
+def search_limits(parent, reqs, anchor=None, *, view="directed", mode="strict"):
+    """What a search's judge rules out: ``(sizes, actors, conflicts)``."""
+    judge = SubsetJudge(parent, reqs, anchor, view=view, mode=mode)
+    return judge.sizes, judge.actors, judge.conflicts
 
 
 class TestSearchAgainstBruteForce:
@@ -509,7 +515,7 @@ def _raised(call) -> str:
 
 
 class TestSatisfies:
-    """``satisfies`` decides exactly what ``evaluate`` reports as overall."""
+    """A search's judge accepts exactly the subsets ``evaluate`` passes."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -517,44 +523,35 @@ class TestSatisfies:
         requirement_sets(allow_parent=True),
         st.sampled_from(VIEWS),
         st.sampled_from(MODES),
-        st.booleans(),
         st.data(),
     )
-    def test_agrees_with_evaluate(self, pair, reqs, view, mode, with_parent, data):
+    def test_agrees_with_evaluate(self, pair, reqs, view, mode, data):
         parent, net = pair
         anchor = data.draw(st.sampled_from(net.actors)) if reqs.needs_anchor else None
-        kwargs = {"parent": parent if with_parent else None, "view": view, "mode": mode}
-        assert satisfies(net, reqs, anchor, **kwargs) == (
-            evaluate(net, reqs, anchor, **kwargs).overall
-        )
+        judge = SubsetJudge(parent, reqs, anchor, view=view, mode=mode)
+        induced = parent.induced(net.actors)
+        assert induced == net
+        report = evaluate(induced, reqs, anchor, parent=parent, view=view, mode=mode)
+        assert judge.decide(net.actors) == (induced if report.overall else None)
 
     @settings(max_examples=100, deadline=None)
-    @given(subnetworks(max_size=6), requirement_sets(allow_parent=True), st.booleans())
-    def test_raises_what_evaluate_raises(self, pair, reqs, unknown):
-        parent, net = pair
-        anchor = net.actors[0] if reqs.needs_anchor else None
-        # (network, anchor): an anchor that is not an actor of the network
-        # or none at all, or an anchor for a set that designates none ...
+    @given(networks(max_size=6), requirement_sets(allow_parent=True), st.booleans())
+    def test_raises_what_evaluate_raises(self, parent, reqs, unknown):
+        # An anchor that is not an actor of the network or none at all, or
+        # an anchor for a set that designates none.
         if reqs.needs_anchor:
-            faults = [(net, "Z" if unknown else None)]
+            anchor = "Z" if unknown else None
         else:
-            faults = [(net, net.actors[0])]
-        # ... a parent that lacks an actor of the network, or one that
-        # induces other ties on its actors.
-        faults.append((SocialNetwork(net.actors + ("Z",), net.ties), anchor))
-        if net.size >= 2:
-            a, b = net.actors[:2]
-            faults.append((SocialNetwork(net.actors, net.ties ^ {(a, b)}), anchor))
-        for faulty, faulty_anchor in faults:
-            assert _raised(
-                lambda: satisfies(faulty, reqs, faulty_anchor, parent=parent)
-            ) == _raised(lambda: evaluate(faulty, reqs, faulty_anchor, parent=parent))
+            anchor = parent.actors[0]
+        assert _raised(lambda: SubsetJudge(parent, reqs, anchor)) == _raised(
+            lambda: evaluate(parent, reqs, anchor)
+        )
 
     @pytest.mark.parametrize("kwargs", [{"view": "bogus"}, {"mode": "bogus"}])
     def test_unknown_view_or_mode_raises_before_any_rule(self, kwargs):
         net = SocialNetwork(("A",))
         reqs = RequirementSet("anchored", (Requirement("anchor", AnchorDesignation()),))
-        assert _raised(lambda: satisfies(net, reqs, "A", **kwargs)) == _raised(
+        assert _raised(lambda: SubsetJudge(net, reqs, "A", **kwargs)) == _raised(
             lambda: evaluate(net, reqs, "A", **kwargs)
         )
 

@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from vbereq import (
     template_steel_vbe,
     template_wholesaler,
 )
+
+FIXTURES = Path(__file__).parents[1] / "src" / "vbereq" / "fixtures"
 
 # Python refuses int <-> str conversions of more digits than this; 0 means
 # the interpreter sets no limit.
@@ -267,10 +270,15 @@ class TestErrors:
 
 class TestCanonicalForm:
     def test_templates_round_trip(self):
-        for template in (template_steel_vbe(), template_wholesaler()):
+        for template, fixture in (
+            (template_steel_vbe(), "steel_vbe.req"),
+            (template_wholesaler(), "wholesaler.req"),
+        ):
             text = serialize_requirements(template)
             assert parse_requirements(text) == template
             assert serialize_requirements(parse_requirements(text)) == text
+            # The fixture file the template is parsed from is canonical.
+            assert (FIXTURES / fixture).read_text() == text
 
     def test_exists_normalizes_to_count(self):
         reqs = parse_requirements("require x : exists >= 2 actor (in_degree > 0)\n")

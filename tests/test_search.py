@@ -25,7 +25,9 @@ from vbereq import (
     search_greedy_peel,
     template_member,
 )
-from vbereq.evaluator import search_limits
+from vbereq import evaluator
+from vbereq.evaluator import SubsetJudge
+from vbereq.search import EXHAUSTIVE_SIZE_GUARD
 
 
 def members_only_reqs():
@@ -158,19 +160,45 @@ class TestExhaustive:
         assert {a for s in exempt for a in s.actors} == set("ACEFIJ")
 
     def test_size_guard(self):
-        big = SocialNetwork(tuple(f"a{i}" for i in range(21)))
         reqs = RequirementSet(
             "r", (Requirement("x", NetworkConstraint(MetricId.SIZE, Comparator.GE, 1)),)
         )
-        with pytest.raises(SearchError, match="guard"):
-            search_exhaustive(big, reqs, SearchConfig(1, 2))
-        assert search_exhaustive(big, reqs, SearchConfig(1, 1), size_guard=25)
 
-    def test_anchor_resolution_errors(self, wholesale, wholesaler_reqs):
-        with pytest.raises(SearchError, match="supply one"):
-            search_exhaustive(wholesale, wholesaler_reqs, SearchConfig(4, 4))
-        with pytest.raises(SearchError, match="not an actor"):
-            search_exhaustive(wholesale, wholesaler_reqs, SearchConfig(4, 4), "Z")
+        def network(n):
+            return SocialNetwork(tuple(f"a{i}" for i in range(n)))
+
+        assert EXHAUSTIVE_SIZE_GUARD == 20
+        assert len(search_exhaustive(network(20), reqs, SearchConfig(1, 1))) == 20
+        with pytest.raises(SearchError, match="guard is 20"):
+            search_exhaustive(network(21), reqs, SearchConfig(1, 1))
+
+    def test_anchor_resolution_errors(
+        self, wholesale, wholesaler_reqs, steel10, steel_vbe_reqs
+    ):
+        for strategy in (search_exhaustive, search_greedy_peel):
+            with pytest.raises(EvaluationError, match="supply one"):
+                strategy(wholesale, wholesaler_reqs, SearchConfig(4, 4))
+            with pytest.raises(EvaluationError, match="not an actor"):
+                strategy(wholesale, wholesaler_reqs, SearchConfig(4, 4), "Z")
+            with pytest.raises(EvaluationError, match="does not designate"):
+                strategy(steel10, steel_vbe_reqs, SearchConfig(5, 10), "A")
+
+    def test_preconditions_checked_once_plus_once_per_solution(
+        self, monkeypatch, steel10, steel_vbe_reqs
+    ):
+        checked = []
+        check = evaluator._checked_scope
+
+        def counting(net, *args):
+            checked.append(net)
+            return check(net, *args)
+
+        monkeypatch.setattr(evaluator, "_checked_scope", counting)
+        solutions = search_exhaustive(steel10, steel_vbe_reqs, SearchConfig(8, 10))
+        # The window holds 56 subsets; those that fail are decided unchecked.
+        assert 0 < len(solutions) < 56
+        # The judge checks the parent, and each solution's report its subset.
+        assert checked == [steel10] + [s.report.network for s in solutions]
 
 
 class TestSearchLimits:
@@ -178,14 +206,16 @@ class TestSearchLimits:
         self, wholesale, wholesaler_reqs
     ):
         # J has no partner but A; B, D, G and H are no friends of A.
-        assert search_limits(wholesale, wholesaler_reqs, "A", view="undirected") == (
+        judge = SubsetJudge(wholesale, wholesaler_reqs, "A", view="undirected")
+        assert judge.anchor == "A"
+        assert (judge.sizes, judge.actors, judge.conflicts) == (
             {4}, ("A", "C", "E", "F", "I"), frozenset()
         )
         acquainted = SocialNetwork(
             wholesale.actors, wholesale.ties | {("C", "E"), ("E", "C")}
         )
-        *_, conflicts = search_limits(acquainted, wholesaler_reqs, "A", view="undirected")
-        assert conflicts == {("C", "E")}
+        judge = SubsetJudge(acquainted, wholesaler_reqs, "A", view="undirected")
+        assert judge.conflicts == {("C", "E")}
         # Of the four subsets left, the two holding C and E are never built.
         cfg = SearchConfig(4, 4, enumeration_cap=2)
         solutions = search_exhaustive(
@@ -213,7 +243,8 @@ class TestSearchLimits:
                 Requirement("p", PairwisePath(PathScope.ANCHOR_TO_OTHERS, *rule)),
             ),
         )
-        assert search_limits(chain, reqs, "A") == (
+        judge = SubsetJudge(chain, reqs, "A")
+        assert (judge.sizes, judge.actors, judge.conflicts) == (
             set(range(1, 6)), tuple(admissible), frozenset()
         )
         # Among the others, tied pairs and pairs with E break "> 1".
@@ -226,25 +257,27 @@ class TestSearchLimits:
                 ),
             ),
         )
-        assert search_limits(chain, apart, "A", view="undirected")[2] == {
+        assert SubsetJudge(chain, apart, "A", view="undirected").conflicts == {
             ("B", "C"), ("C", "D"), ("B", "E"), ("C", "E"), ("D", "E")
         }
 
     def test_steel_vbe_rules_out_no_actor_and_no_pair(self, steel10, steel_vbe_reqs):
         for view in ("directed", "undirected"):
-            assert search_limits(steel10, steel_vbe_reqs, view=view) == (
+            judge = SubsetJudge(steel10, steel_vbe_reqs, view=view)
+            assert judge.anchor is None
+            assert (judge.sizes, judge.actors, judge.conflicts) == (
                 set(range(5, 11)), steel10.actors, frozenset()
             )
 
     def test_raises_what_evaluate_raises(self, wholesale, wholesaler_reqs):
         with pytest.raises(EvaluationError, match="view must be one of"):
-            search_limits(wholesale, wholesaler_reqs, "A", view="sideways")
+            SubsetJudge(wholesale, wholesaler_reqs, "A", view="sideways")
         with pytest.raises(EvaluationError, match="view must be one of"):
             search_exhaustive(
                 wholesale, wholesaler_reqs, SearchConfig(4, 4), "A", view="sideways"
             )
         with pytest.raises(EvaluationError, match="supply one"):
-            search_limits(wholesale, wholesaler_reqs)
+            SubsetJudge(wholesale, wholesaler_reqs)
 
 
 class TestGreedyPeel:
