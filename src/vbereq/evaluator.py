@@ -10,10 +10,11 @@ other constraints see the network under evaluation.
 A ``SubsetJudge`` serves one search over the subsets of a parent: built
 once, it checks view, mode and anchor as ``evaluate`` does and reads what
 the rules already exclude; it then decides each subset it is handed with
-the same verdict code, stopping at the first failing requirement and
-checking no precondition again. A report screens its network for role
-candidacies the first time ``role_candidacies`` is read, so a report that
-is never rendered never pays for screening.
+the same verdict code, stopping at the first failing requirement, or
+explains it as ``evaluate`` would, checking no precondition again. A
+report screens its network for role candidacies the first time
+``role_candidacies`` is read, so a report that is never rendered never
+pays for screening.
 
 Within one call, ``avg_others`` comes from one total per network and
 metric minus the actor's own value, so a predicate costs O(atoms) per
@@ -446,6 +447,11 @@ def evaluate(
     there. ``view``/``mode`` select path-metric semantics.
     """
     scope = _checked_scope(net, reqs, anchor, parent, view, mode)
+    return _report(scope, reqs, network_name)
+
+
+def _report(scope: _Scope, reqs: RequirementSet, network_name: str) -> EvaluationReport:
+    """The explained report on the scope's network, assuming its preconditions."""
     verdicts = tuple(_verdict(req, scope, True) for req in reqs.requirements)
     return EvaluationReport(
         network_name,
@@ -453,7 +459,7 @@ def evaluate(
         scope.anchor,
         verdicts,
         all(v.satisfied for v in verdicts),
-        net,
+        scope.net,
     )
 
 
@@ -487,7 +493,7 @@ def _length_ruled_out(body: PairwisePath, length: MetricResult) -> bool:
 
 
 class SubsetJudge:
-    """Decides, for one search, which subsets of ``parent`` satisfy ``reqs``.
+    """Decides, for one search, which subsets of ``parent`` satisfy ``reqs``, and why.
 
     Construction raises what :func:`evaluate` raises for ``view``, ``mode``
     and ``anchor``, then keeps the effective ``anchor`` and what the rules
@@ -513,13 +519,11 @@ class SubsetJudge:
         self.parent = parent
         self.reqs = reqs
         self.anchor = anchor = scope.anchor
-        self.view = view
-        self.mode = mode
+        self._scope = lambda sub: _Scope(sub, parent, anchor, view, mode)
         sizes = range(1, parent.size + 1)
         excluded: set[str] = set()
         conflicts: set[tuple[str, str]] = set()
         order = {a: i for i, a in enumerate(parent.actors)}
-        rows = parent.distances(view == "undirected")
         for req in reqs.requirements:
             body = req.body
             if isinstance(body, NetworkConstraint) and body.metric is MetricId.SIZE:
@@ -534,6 +538,7 @@ class SubsetJudge:
                     and not _holds(body.predicate, a, scope)
                 )
             elif isinstance(body, PairwisePath):
+                rows = parent.distances(view == "undirected")
                 for x, y in _path_pairs(body.between, parent.actors, anchor):
                     if not _length_ruled_out(body, rows[x].get(y, UNREACHABLE)):
                         continue
@@ -554,10 +559,15 @@ class SubsetJudge:
         but stops at the first failing requirement and checks no precondition.
         """
         sub = self.parent.induced(actors)
-        scope = _Scope(sub, self.parent, self.anchor, self.view, self.mode)
+        scope = self._scope(sub)
         if all(_verdict(req, scope, False).satisfied for req in self.reqs.requirements):
             return sub
         return None
+
+    def report(self, sub: SocialNetwork, network_name: str) -> EvaluationReport:
+        """``evaluate(sub, reqs, anchor, parent=parent, ...)`` for a ``sub``
+        that ``parent`` induced, holding the anchor; checks no precondition."""
+        return _report(self._scope(sub), self.reqs, network_name)
 
 
 def role_candidates(

@@ -1,13 +1,13 @@
 """Induced-subnetwork search: exhaustive enumeration and greedy peeling.
 
-Exhaustive mode builds one ``SubsetJudge`` per search, which checks the
-anchor, view and mode once and reads what the requirement set already
-rules out; it enumerates by backtracking only the subsets that survive, has
-the judge decide each (stopping at the first failing requirement, with no
-explanation), and builds the full ``evaluate`` report only for the subsets
-that pass, which it returns. Every subset of the size window (for anchored
-requirement sets, every subset containing the anchor) is either decided or
-ruled out by one of these rules, each sound for every induced subnetwork:
+Both strategies reach the evaluator only through one ``SubsetJudge`` per
+search, which checks the anchor, view and mode once. Exhaustive mode
+enumerates by backtracking only the subsets the judge does not rule out,
+has it decide each (stopping at the first failing requirement), and has it
+explain a passing one only when its solution's ``report`` is read. Every
+subset of the size window (for anchored requirement sets, every subset
+containing the anchor) is either decided or ruled out by one of these
+rules, each sound for every induced subnetwork:
 
 * sizes that a ``size`` constraint rejects are skipped, since the size of
   a subset is the number of its actors;
@@ -28,21 +28,23 @@ running away.
 
 Greedy peel starts from the whole network and repeatedly removes the actor
 with the most violated per-actor atoms (ties broken by lowest total
-degree, then actor order; the anchor is never removed), re-evaluating
-after each removal. It is sound but not complete: a returned solution
-always satisfies the requirements, but failure to find one proves
-nothing. When nothing points at a specific actor (say a too-low network
-density), the peel still removes the current lowest-degree actor.
+degree, then actor order; the anchor is never removed), and has the judge
+report on what is left after each removal. It is sound but not complete:
+a returned solution always satisfies the requirements, but failure to find
+one proves nothing. When nothing points at a specific actor (say a too-low
+network density), the peel still removes the current lowest-degree actor.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property, partial
+from typing import Callable
 
-from .evaluator import EvaluationReport, SubsetJudge, evaluate
+from .evaluator import EvaluationReport, SubsetJudge
 from .metrics import MetricId, actor_metric, network_metric
 from .network import SocialNetwork
 from .requirements import RequirementSet
@@ -83,11 +85,16 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SubnetworkSolution:
-    """A satisfying actor subset (in parent actor order) with its report."""
+    """A satisfying actor subset (in parent actor order), its objective
+    value, and its ``report``, which is built the first time it is read."""
 
     actors: tuple[str, ...]
-    report: EvaluationReport
     objective_value: int | Fraction
+    _explain: Callable[[], EvaluationReport] = field(compare=False, repr=False)
+
+    @cached_property
+    def report(self) -> EvaluationReport:
+        return self._explain()
 
 
 def _check_bounds(net: SocialNetwork, cfg: SearchConfig) -> None:
@@ -193,16 +200,8 @@ def search_exhaustive(
             sub = judge.decide(combo)
             if sub is None:
                 continue
-            report = evaluate(
-                sub,
-                reqs,
-                judge.anchor,
-                parent=net,
-                network_name=_subnet_name(network_name, combo),
-                view=view,
-                mode=mode,
-            )
-            solution = SubnetworkSolution(combo, report, _objective_value(cfg, sub))
+            explain = partial(judge.report, sub, _subnet_name(network_name, combo))
+            solution = SubnetworkSolution(combo, _objective_value(cfg, sub), explain)
             if cfg.objective == "first":
                 return [solution]
             solutions.append(solution)
@@ -233,24 +232,16 @@ def search_greedy_peel(
     raises for the anchor, view or mode.
     """
     _check_bounds(net, cfg)
+    judge = SubsetJudge(net, reqs, anchor, view=view, mode=mode)
 
     current = net
     trace: list[str] = []
     while True:
-        report = evaluate(
-            current,
-            reqs,
-            anchor,
-            parent=net,
-            network_name=_subnet_name(network_name, current.actors),
-            view=view,
-            mode=mode,
-        )
+        report = judge.report(current, _subnet_name(network_name, current.actors))
         if report.overall and current.size <= cfg.max_size:
-            report = replace(report, peel_trace=tuple(trace))
-            return SubnetworkSolution(
-                current.actors, report, _objective_value(cfg, current)
-            )
+            explain = partial(replace, report, peel_trace=tuple(trace))
+            value = _objective_value(cfg, current)
+            return SubnetworkSolution(current.actors, value, explain)
         if current.size - 1 < cfg.min_size:
             return None
         scores = Counter(
@@ -259,9 +250,8 @@ def search_greedy_peel(
             if not verdict.satisfied
             for actor, _ in verdict.violators
         )
-        candidates = [(i, a) for i, a in enumerate(current.actors) if a != report.anchor]
-        if not candidates:
-            return None
+        # At least two actors are left, so one of them is not the anchor.
+        candidates = [(i, a) for i, a in enumerate(current.actors) if a != judge.anchor]
         _, victim = max(
             candidates,
             key=lambda candidate: (

@@ -62,6 +62,11 @@ def test_file_formats_import_neither_evaluation_nor_rendering():
     assert not imported & {"evaluator", "render"}
 
 
+def test_search_reaches_the_evaluator_only_through_its_judge():
+    imported = {name for module, name in _imports(MODULES["search"]) if module == "evaluator"}
+    assert imported <= {"SubsetJudge", "EvaluationReport"}
+
+
 def test_metric_ids_are_dispatched_only_through_the_metric_table():
     def names_member(node: ast.AST) -> bool:
         return isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "MetricId"

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -379,28 +381,6 @@ class TestEvaluationInvariants:
         assert render_report(first, "json") == render_report(second, "json")
 
 
-class TestSearchInvariants:
-    @settings(max_examples=60, deadline=None)
-    @given(networks(min_size=2, max_size=6), requirement_sets(), st.data())
-    def test_exhaustive_solutions_satisfy(self, net, reqs, data):
-        lo = data.draw(st.integers(1, net.size), label="min_size")
-        hi = data.draw(st.integers(lo, net.size), label="max_size")
-        anchor = net.actors[0] if reqs.needs_anchor else None
-        cfg = SearchConfig(min_size=lo, max_size=hi)
-        solutions = search_exhaustive(net, reqs, cfg, anchor)
-        values = []
-        for sol in solutions:
-            assert lo <= len(sol.actors) <= hi
-            assert set(sol.actors) <= set(net.actors)
-            if anchor is not None:
-                assert anchor in sol.actors
-            assert sol.report.overall
-            check = evaluate(net.induced(sol.actors), reqs, anchor=anchor, parent=net)
-            assert check.overall
-            values.append(Fraction(sol.objective_value))
-        assert values == sorted(values, reverse=True)
-
-
 @st.composite
 def path_rule_sets(draw):
     """One or two path rules alone: they pass often enough that a solution
@@ -437,6 +417,105 @@ def search_limits(parent, reqs, anchor=None, *, view="directed", mode="strict"):
     """What a search's judge rules out: ``(sizes, actors, conflicts)``."""
     judge = SubsetJudge(parent, reqs, anchor, view=view, mode=mode)
     return judge.sizes, judge.actors, judge.conflicts
+
+
+def peel_by_evaluate(net, reqs, cfg, anchor, *, network_name, view):
+    """Greedy peel as one public ``evaluate(..., parent=net)`` per step:
+    ``(actors, peel_trace, report)`` or None."""
+    current, trace = net, []
+    while True:
+        name = f"{network_name}[{','.join(current.actors)}]"
+        report = evaluate(current, reqs, anchor, parent=net, network_name=name, view=view)
+        if report.overall and current.size <= cfg.max_size:
+            return current.actors, tuple(trace), replace(report, peel_trace=tuple(trace))
+        if current.size - 1 < cfg.min_size:
+            return None
+        scores = Counter(
+            a for v in report.verdicts if not v.satisfied for a, _ in v.violators
+        )
+        victim = max(
+            (a for a in current.actors if a != report.anchor),
+            key=lambda a: (
+                scores[a],
+                -actor_metric(current, MetricId.TOTAL_DEGREE, a),
+                -current.actors.index(a),
+            ),
+        )
+        trace.append(victim)
+        current = current.induced(a for a in current.actors if a != victim)
+
+
+# Strict closeness reads an actor that cannot reach every other as
+# unreachable, lenient closeness counts only the reachable ones, so the two
+# modes explain each subset of the chain differently.
+CHAIN_CASE = (
+    SocialNetwork(tuple("ABC"), frozenset({("A", "B"), ("B", "C")})),
+    RequirementSet(
+        "reach",
+        (
+            Requirement(
+                "r",
+                CountActors(
+                    Atom(MetricId.CLOSENESS, Comparator.GT, 0), Comparator.GE, 0
+                ),
+            ),
+        ),
+    ),
+    None,
+    1,
+    3,
+)
+
+
+class TestSearchInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases(), st.sampled_from(VIEWS), st.sampled_from(MODES))
+    @example(WHOLESALE_CASE, "undirected", "strict")
+    @example(CHAIN_CASE, "directed", "lenient")
+    def test_exhaustive_solutions_satisfy(self, case, view, mode):
+        net, reqs, anchor, lo, hi = case
+        cfg = SearchConfig(min_size=lo, max_size=hi)
+        solutions = search_exhaustive(
+            net, reqs, cfg, anchor, network_name="net", view=view, mode=mode
+        )
+        values = []
+        for sol in solutions:
+            assert lo <= len(sol.actors) <= hi
+            assert set(sol.actors) <= set(net.actors)
+            if anchor is not None:
+                assert anchor in sol.actors
+            assert sol.report.overall
+            # The judge's unchecked report is the one evaluate builds.
+            check = evaluate(
+                net.induced(sol.actors),
+                reqs,
+                anchor,
+                parent=net,
+                network_name=f"net[{','.join(sol.actors)}]",
+                view=view,
+                mode=mode,
+            )
+            assert sol.report == check
+            assert render_report(sol.report, "json") == render_report(check, "json")
+            values.append(Fraction(sol.objective_value))
+        assert values == sorted(values, reverse=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases(), st.sampled_from(VIEWS))
+    @example(WHOLESALE_CASE, "undirected")
+    def test_peel_matches_peeling_by_evaluate(self, case, view):
+        net, reqs, anchor, lo, hi = case
+        cfg = SearchConfig(lo, hi)
+        sol = search_greedy_peel(net, reqs, cfg, anchor, network_name="net", view=view)
+        expected = peel_by_evaluate(net, reqs, cfg, anchor, network_name="net", view=view)
+        if sol is None:
+            assert expected is None
+            return
+        actors, trace, report = expected
+        assert (sol.actors, sol.report.peel_trace) == (actors, trace)
+        assert sol.report == report
+        assert render_report(sol.report, "text") == render_report(report, "text")
+        assert render_report(sol.report, "json") == render_report(report, "json")
 
 
 class TestSearchAgainstBruteForce:

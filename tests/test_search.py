@@ -1,6 +1,7 @@
 """Subnetwork search: exhaustive enumeration and the greedy peel."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +27,14 @@ from vbereq import (
     template_member,
 )
 from vbereq import evaluator
+from vbereq.cli import main
 from vbereq.evaluator import SubsetJudge
+from vbereq.fixtures import load_steel10
 from vbereq.search import EXHAUSTIVE_SIZE_GUARD
+
+FIXTURES = Path(__file__).parents[1] / "src" / "vbereq" / "fixtures"
+STEEL_CSV = str(FIXTURES / "steel10.csv")
+STEEL_REQ = str(FIXTURES / "steel_vbe.req")
 
 
 def members_only_reqs():
@@ -183,22 +190,46 @@ class TestExhaustive:
             with pytest.raises(EvaluationError, match="does not designate"):
                 strategy(steel10, steel_vbe_reqs, SearchConfig(5, 10), "A")
 
-    def test_preconditions_checked_once_plus_once_per_solution(
-        self, monkeypatch, steel10, steel_vbe_reqs
+    def test_preconditions_checked_once_and_reports_built_on_read(
+        self, monkeypatch, capsys, steel10, steel10_f3, steel_vbe_reqs
     ):
-        checked = []
-        check = evaluator._checked_scope
+        checked, explained = [], []
+        check, report = evaluator._checked_scope, evaluator._report
 
-        def counting(net, *args):
+        def counting_check(net, *args):
             checked.append(net)
             return check(net, *args)
 
-        monkeypatch.setattr(evaluator, "_checked_scope", counting)
+        def counting_report(scope, *args):
+            explained.append(scope.net)
+            return report(scope, *args)
+
+        monkeypatch.setattr(evaluator, "_checked_scope", counting_check)
+        monkeypatch.setattr(evaluator, "_report", counting_report)
+        # The window holds 56 subsets: the judge checks only the parent and
+        # explains none of the 44 that pass until a report is read, once.
         solutions = search_exhaustive(steel10, steel_vbe_reqs, SearchConfig(8, 10))
-        # The window holds 56 subsets; those that fail are decided unchecked.
-        assert 0 < len(solutions) < 56
-        # The judge checks the parent, and each solution's report its subset.
-        assert checked == [steel10] + [s.report.network for s in solutions]
+        assert (checked, explained, len(solutions)) == ([steel10], [], 44)
+        assert [s.report.network for s in solutions] == explained
+        assert all(s.report is s.report for s in solutions)
+        assert (len(checked), len(explained)) == (1, 44)
+
+        # Peel explains the network before each removal and the solution.
+        checked.clear()
+        explained.clear()
+        sol = search_greedy_peel(steel10_f3, members_only_reqs(), SearchConfig(5, 10))
+        assert sol.report.peel_trace == ("F", "I")
+        assert (checked, len(explained)) == ([steel10_f3], 3)
+
+        # `vbe search` renders the best of the 44 solutions and explains no other.
+        argv = ["search", "--network", STEEL_CSV, "--requirements", STEEL_REQ]
+        shown = {"text": "43 alternatives", "json": '"alternatives": 43'}
+        for out, alternatives in shown.items():
+            checked.clear()
+            explained.clear()
+            assert main([*argv, "--min-size", "8", "--max-size", "10", "--out", out]) == 0
+            assert alternatives in capsys.readouterr().out
+            assert (len(checked), len(explained)) == (1, 1)
 
 
 class TestSearchLimits:
@@ -260,6 +291,24 @@ class TestSearchLimits:
         assert SubsetJudge(chain, apart, "A", view="undirected").conflicts == {
             ("B", "C"), ("C", "D"), ("B", "E"), ("C", "E"), ("D", "E")
         }
+
+    def test_distances_are_computed_only_for_path_rules(
+        self, monkeypatch, steel_vbe_reqs, wholesale, wholesaler_reqs
+    ):
+        computed = []
+        distances = SocialNetwork.distances
+
+        def counting(net, undirected=False):
+            computed.append((net, undirected))
+            return distances(net, undirected)
+
+        monkeypatch.setattr(SocialNetwork, "distances", counting)
+        fresh = load_steel10()
+        for view in ("directed", "undirected"):
+            SubsetJudge(fresh, steel_vbe_reqs, view=view)
+        assert computed == []
+        SubsetJudge(wholesale, wholesaler_reqs, "A", view="undirected")
+        assert computed == [(wholesale, True), (wholesale, True)]
 
     def test_steel_vbe_rules_out_no_actor_and_no_pair(self, steel10, steel_vbe_reqs):
         for view in ("directed", "undirected"):
