@@ -421,13 +421,13 @@ def search_limits(parent, reqs, anchor=None, *, view="directed", mode="strict"):
 
 def peel_by_evaluate(net, reqs, cfg, anchor, *, network_name, view):
     """Greedy peel as one public ``evaluate(..., parent=net)`` per step:
-    ``(actors, peel_trace, report)`` or None."""
+    ``(actors, report)`` with the report's ``peel_trace`` set, or None."""
     current, trace = net, []
     while True:
         name = f"{network_name}[{','.join(current.actors)}]"
         report = evaluate(current, reqs, anchor, parent=net, network_name=name, view=view)
         if report.overall and current.size <= cfg.max_size:
-            return current.actors, tuple(trace), replace(report, peel_trace=tuple(trace))
+            return current.actors, replace(report, peel_trace=tuple(trace))
         if current.size - 1 < cfg.min_size:
             return None
         scores = Counter(
@@ -511,8 +511,8 @@ class TestSearchInvariants:
         if sol is None:
             assert expected is None
             return
-        actors, trace, report = expected
-        assert (sol.actors, sol.report.peel_trace) == (actors, trace)
+        actors, report = expected
+        assert (sol.actors, sol.report.peel_trace) == (actors, report.peel_trace)
         assert sol.report == report
         assert render_report(sol.report, "text") == render_report(report, "text")
         assert render_report(sol.report, "json") == render_report(report, "json")
