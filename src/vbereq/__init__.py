@@ -72,7 +72,6 @@ from .requirements import (
     RequirementError,
     RequirementSet,
     template_broker,
-    template_generic_vbe,
     template_member,
     template_planner,
 )
@@ -154,7 +153,6 @@ __all__ = [
     "serialize_requirements",
     "shortest_path_length",
     "template_broker",
-    "template_generic_vbe",
     "template_member",
     "template_planner",
     "template_steel_vbe",

@@ -11,12 +11,15 @@ Exit codes are uniform: 0 for satisfied/success, 1 for requirements
 violated or no solution found, 2 for any input or usage error. Text
 reports honor ``VBE_COLOR=1`` for ANSI color; ``--out json`` emits a
 machine-readable document instead.
+
+This module only parses arguments, loads the input files, calls the
+library and writes out the bytes a ``render_*`` function returns; every
+output format lives in :mod:`vbereq.render`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,18 +29,16 @@ from .evaluator import EvaluationError, evaluate, role_candidates
 from .metrics import MODES
 from .netio import FormatError, infer_format, load_network_text
 from .network import NetworkError, SocialNetwork
-from .render import render_metrics, render_report, report_document
+from .render import render_metrics, render_report, render_roles, render_search
 from .reqtext import RequirementSyntaxError, parse_requirements
 from .requirements import RequirementError, RequirementSet
 from .search import (
     OBJECTIVES,
     SearchConfig,
     SearchError,
-    SubnetworkSolution,
     search_exhaustive,
     search_greedy_peel,
 )
-from .values import fraction_str
 
 _USER_ERRORS = (
     NetworkError,
@@ -248,31 +249,8 @@ def _cmd_roles(args: argparse.Namespace) -> int:
         role: role_candidates(net, role, members_only=args.members_only)
         for role in wanted
     }
-    if args.out == "json":
-        doc = {
-            "network": name,
-            "roles": {role: list(actors) for role, actors in candidates.items()},
-        }
-        _emit((json.dumps(doc, indent=2) + "\n").encode())
-    else:
-        for role in wanted:
-            actors = candidates[role]
-            listing = ", ".join(actors) if actors else "(none)"
-            _emit(f"{role}: {listing}\n".encode())
+    _emit(render_roles(name, candidates, args.out))
     return 0
-
-
-def _solution_document(
-    best: SubnetworkSolution, objective: str, alternatives: int
-) -> dict:
-    value = best.objective_value
-    return {
-        "solution": list(best.actors),
-        "objective": objective,
-        "objective_value": value if isinstance(value, int) else fraction_str(value),
-        "alternatives": alternatives,
-        "report": report_document(best.report),
-    }
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -296,23 +274,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
         best = solutions[0] if solutions else None
         alternatives = max(len(solutions) - 1, 0)
-    if best is None:
-        if args.out == "json":
-            _emit((json.dumps({"solution": None}, indent=2) + "\n").encode())
-        else:
-            _emit(b"no solution found\n")
-        return 1
-    if args.out == "json":
-        doc = _solution_document(best, cfg.objective, alternatives)
-        _emit((json.dumps(doc, indent=2) + "\n").encode())
-    else:
-        value_text = fraction_str(best.objective_value)
-        _emit(
-            f"solution: {', '.join(best.actors)} "
-            f"({cfg.objective}={value_text}, {alternatives} alternatives)\n".encode()
-        )
-        _emit(render_report(best.report, "text", color=args.color))
-    return 0
+    _emit(render_search(best, cfg.objective, alternatives, args.out, color=args.color))
+    return 0 if best is not None else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 from .metrics import (
     MODES,
@@ -42,7 +42,6 @@ from .metrics import (
     actor_metric,
     observe_actor_metric,
     observe_network_metric,
-    shortest_path_length,
 )
 from .network import SocialNetwork
 from .render import metric_display
@@ -343,17 +342,20 @@ def _path_pairs(
     return [(x, y) for x in others for y in others if x != y]
 
 
+def _lengths(
+    net: SocialNetwork, pairs: list[tuple[str, str]], view: str
+) -> Iterator[tuple[str, str, MetricResult]]:
+    """Each pair with its hop count in ``net``'s distance table for ``view``."""
+    rows = net.distances(view == "undirected")
+    return ((x, y, rows[x].get(y, UNREACHABLE)) for x, y in pairs)
+
+
 def _path_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     body: PairwisePath = req.body
-    net = scope.net
-    pairs = _path_pairs(body.between, net.actors, scope.anchor)
-    lengths = (
-        (sender, receiver, shortest_path_length(net, sender, receiver, view=scope.view))
-        for sender, receiver in pairs
-    )
+    pairs = _path_pairs(body.between, scope.net.actors, scope.anchor)
     failing = (
         (sender, receiver, length)
-        for sender, receiver, length in lengths
+        for sender, receiver, length in _lengths(scope.net, pairs, scope.view)
         if not body.cmp.holds(length, body.threshold)
     )
     if not explain:
@@ -538,9 +540,9 @@ class SubsetJudge:
                     and not _holds(body.predicate, a, scope)
                 )
             elif isinstance(body, PairwisePath):
-                rows = parent.distances(view == "undirected")
-                for x, y in _path_pairs(body.between, parent.actors, anchor):
-                    if not _length_ruled_out(body, rows[x].get(y, UNREACHABLE)):
+                pairs = _path_pairs(body.between, parent.actors, anchor)
+                for x, y, length in _lengths(parent, pairs, view):
+                    if not _length_ruled_out(body, length):
                         continue
                     if anchor in (x, y):
                         excluded.add(y if x == anchor else x)

@@ -1,9 +1,11 @@
-"""Report and metrics rendering.
+"""Every byte ``vbe`` prints: reports, metrics, role candidates and search results.
 
-Reports render as text (one line per verdict, see :func:`explain`) or as
-JSON with a stable key order, exact fraction strings, and decimal
-companions, so the bytes for identical inputs never change between runs.
-Metrics render as an aligned text table or as the same values in JSON.
+Each ``render_*`` function returns one result as text or as JSON. Reports
+render as text (one line per verdict, see :func:`explain`) or as JSON with
+a stable key order, exact fraction strings, and decimal companions, so the
+bytes for identical inputs never change between runs. Metrics render as an
+aligned text table or as the same values in JSON. One writer emits all
+JSON, and an empty actor list reads ``(none)`` in text.
 """
 
 from __future__ import annotations
@@ -24,8 +26,22 @@ from .values import decimal_str, fraction_str, is_defined, percent_str
 
 if TYPE_CHECKING:
     # The evaluator imports metric_display from here; a runtime import of
-    # the evaluator would be a cycle.
+    # the evaluator (or of search, which imports it) would be a cycle.
     from .evaluator import EvaluationReport
+    from .search import SubnetworkSolution
+
+
+def _json(doc: object) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def _listing(items: tuple[str, ...] | list[str]) -> str:
+    return ", ".join(items) if items else "(none)"
+
+
+def _check_format(what: str, format: str) -> None:
+    if format not in ("text", "json"):
+        raise ValueError(f"unknown {what} format {format!r} (use text or json)")
 
 
 # -- metric values ------------------------------------------------------------
@@ -78,10 +94,6 @@ def _json_value(mv: MetricValue):
 # -- reports ------------------------------------------------------------------
 
 
-def _role_list(actors: tuple[str, ...]) -> str:
-    return ", ".join(actors) if actors else "(none)"
-
-
 def explain(report: EvaluationReport, color: bool = False) -> str:
     """One line per verdict plus roles and the overall outcome.
 
@@ -108,17 +120,12 @@ def explain(report: EvaluationReport, color: bool = False) -> str:
             line += f"; violators: {rendered}"
         lines.append(line)
     if report.peel_trace is not None:
-        peeled = ", ".join(report.peel_trace) if report.peel_trace else "(none)"
-        lines.append(f"peeled: {peeled}")
+        lines.append(f"peeled: {_listing(report.peel_trace)}")
     roles = report.role_candidacies
-    lines.append(
-        "roles: member: "
-        + _role_list(roles.get("member", ()))
-        + " | planner: "
-        + _role_list(roles.get("planner", ()))
-        + " | broker: "
-        + _role_list(roles.get("broker", ()))
-    )
+    listed = [
+        f"{role}: {_listing(roles.get(role, ()))}" for role in ("member", "planner", "broker")
+    ]
+    lines.append("roles: " + " | ".join(listed))
     lines.append(f"overall: {tag(report.overall)}")
     return "\n".join(lines) + "\n"
 
@@ -160,11 +167,56 @@ def render_report(
 
     ``color`` applies to text only; see :func:`explain`.
     """
-    if format == "text":
-        return explain(report, color).encode()
+    _check_format("report", format)
     if format == "json":
-        return (json.dumps(report_document(report), indent=2) + "\n").encode()
-    raise ValueError(f"unknown report format {format!r} (use text or json)")
+        return _json(report_document(report))
+    return explain(report, color).encode()
+
+
+# -- roles and search results ------------------------------------------------
+
+
+def render_roles(name: str, candidates: dict[str, list[str]], format: str) -> bytes:
+    """Role candidates of network ``name``: one ``role: actors`` line per
+    role, in ``candidates`` order, or the same as JSON."""
+    _check_format("roles", format)
+    if format == "json":
+        return _json({"network": name, "roles": candidates})
+    lines = [f"{role}: {_listing(actors)}\n" for role, actors in candidates.items()]
+    return "".join(lines).encode()
+
+
+def render_search(
+    best: SubnetworkSolution | None,
+    objective: str,
+    alternatives: int,
+    format: str,
+    *,
+    color: bool = False,
+) -> bytes:
+    """A search result: the best solution and its report, or that none was found.
+
+    ``color`` applies to the text report only; see :func:`explain`.
+    """
+    _check_format("search", format)
+    if best is None:
+        return _json({"solution": None}) if format == "json" else b"no solution found\n"
+    value = best.objective_value
+    if format == "text":
+        head = (
+            f"solution: {', '.join(best.actors)} "
+            f"({objective}={fraction_str(value)}, {alternatives} alternatives)\n"
+        )
+        return (head + explain(best.report, color)).encode()
+    return _json(
+        {
+            "solution": list(best.actors),
+            "objective": objective,
+            "objective_value": value if isinstance(value, int) else fraction_str(value),
+            "alternatives": alternatives,
+            "report": report_document(best.report),
+        }
+    )
 
 
 # -- metrics ------------------------------------------------------------------
@@ -181,8 +233,7 @@ def render_metrics(
 
     The metric table is computed once and then formatted.
     """
-    if format not in ("text", "json"):
-        raise ValueError(f"unknown metrics format {format!r} (use text or json)")
+    _check_format("metrics", format)
     network_values = [
         observe_network_metric(net, row.metric, view=view, mode=mode)
         for row in METRIC_TABLE
@@ -214,7 +265,7 @@ def render_metrics(
             for mv in values:
                 row[mv.metric.value] = _json_value(mv)
             doc["actors"].append(row)
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        return _json(doc)
 
     lines = [f"network: {name}", f"view: {view}"]
     for mv in network_values:

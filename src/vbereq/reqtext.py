@@ -160,9 +160,6 @@ class _LineParser:
         self.pos += 1
         return token
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def expect_end(self) -> None:
         token = self.peek()
         if token is not None:
@@ -406,10 +403,7 @@ def parse_requirements(text: str) -> RequirementSet:
             parser.expect_end()
             if label is None:
                 label = f"r{len(requirements) + 1}"
-            try:
-                requirements.append(Requirement(label, body))
-            except RequirementError as exc:
-                raise RequirementSyntaxError(str(exc), line_no, head.col) from None
+            requirements.append(Requirement(label, body))
             continue
         raise parser.error(
             f"unknown statement {head.text!r}; expected set, anchor, or require",

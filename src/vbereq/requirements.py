@@ -298,31 +298,6 @@ class RequirementSet:
 # -- built-in templates -----------------------------------------------------
 
 
-def template_generic_vbe(max_eccentricity: int) -> RequirementSet:
-    """Baseline breeding-environment shape: minimum size, density at least
-    50%, and every actor within ``max_eccentricity`` hops of the rest."""
-    if isinstance(max_eccentricity, bool) or not isinstance(max_eccentricity, int):
-        raise RequirementError("max_eccentricity must be an integer")
-    if max_eccentricity < 1:
-        raise RequirementError("max_eccentricity must be at least 1")
-    return RequirementSet(
-        "generic-vbe",
-        (
-            Requirement("min-size", NetworkConstraint(MetricId.SIZE, Comparator.GE, 3)),
-            Requirement(
-                "density",
-                NetworkConstraint(MetricId.DENSITY, Comparator.GE, Fraction(1, 2)),
-            ),
-            Requirement(
-                "max-eccentricity",
-                ForAllActors(
-                    Atom(MetricId.ECCENTRICITY, Comparator.LE, max_eccentricity)
-                ),
-            ),
-        ),
-    )
-
-
 def template_member() -> ActorPredicate:
     """A member must not be passive: in- or out-density above 50%."""
     half = Fraction(1, 2)

@@ -133,3 +133,28 @@ def test_no_import_cycles():
         )
 
     assert [name for name in graph if reaches(name, name, {name})] == []
+
+
+def test_the_cli_formats_nothing_itself():
+    cli = MODULES["cli"]
+    modules = {node.module for node in ast.walk(cli) if isinstance(node, ast.ImportFrom)}
+    modules.update(
+        alias.name
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    )
+    assert "json" not in modules
+    assert "values" not in {module for module, _ in _imports(cli)}
+
+
+def test_one_json_writer():
+    writers = [
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "dumps"
+        and getattr(node.value, "id", "") == "json"
+    ]
+    assert writers == ["render"]

@@ -22,10 +22,18 @@ from vbereq import (
     SocialNetwork,
     evaluate,
     explain,
+    parse_requirements,
     role_candidates,
-    template_generic_vbe,
 )
 from tests.conftest import make_steel10_f3
+
+
+GENERIC_VBE = """\
+set generic-vbe
+require min-size : size >= 3
+require density : density >= 50%
+require max-eccentricity : forall actor (eccentricity <= 2)
+"""
 
 
 def rs(*bodies, name="t"):
@@ -60,14 +68,14 @@ class TestSteelEvaluation:
         assert density.observed[0].ratio == (51, 90)
 
     def test_generic_vbe_directed_fails_on_eccentricity(self, steel10):
-        report = evaluate(steel10, template_generic_vbe(2))
+        report = evaluate(steel10, parse_requirements(GENERIC_VBE))
         assert not report.overall
         ecc = report.verdicts[2]
         assert not ecc.satisfied
         assert [a for a, _ in ecc.violators] == ["A", "D", "G", "H", "I"]
 
     def test_generic_vbe_undirected_passes(self, steel10):
-        report = evaluate(steel10, template_generic_vbe(2), view="undirected")
+        report = evaluate(steel10, parse_requirements(GENERIC_VBE), view="undirected")
         assert report.overall
 
 

@@ -19,6 +19,7 @@ from vbereq import (
     serialize_edge_list,
     serialize_matrix_csv,
 )
+from vbereq.render import render_roles, render_search
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -250,3 +251,9 @@ class TestMetricsRendering:
     def test_unknown_format(self, steel10):
         with pytest.raises(ValueError, match="metrics format"):
             render_metrics(steel10, "x", format="pdf")
+
+    def test_roles_and_search_reject_unknown_formats(self):
+        with pytest.raises(ValueError, match="roles format"):
+            render_roles("x", {"member": []}, "yaml")
+        with pytest.raises(ValueError, match="search format"):
+            render_search(None, "size", 0, "yaml")

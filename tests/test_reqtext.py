@@ -1,5 +1,6 @@
 """The line-oriented requirements grammar: parsing, errors, canonical form."""
 
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,7 @@ from vbereq import (
 )
 
 FIXTURES = Path(__file__).parents[1] / "src" / "vbereq" / "fixtures"
+README = Path(__file__).parents[1] / "README.md"
 
 # Python refuses int <-> str conversions of more digits than this; 0 means
 # the interpreter sets no limit.
@@ -267,6 +269,20 @@ class TestErrors:
             parse_requirements("require a : size >= 1\nrequire b : bogus >= 1\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            ("require x : count actor (in_degree >= 1) >= 150%", "must lie in", 45),
+            ("require x : forall actor (in_density > 2)", "explicit % suffix", 40),
+            ("anchor a:b", "must not contain ',' or ':'", 1),
+        ],
+        ids=["count-bound", "atom-threshold", "anchor-id"],
+    )
+    def test_ast_validation_errors_are_located(self, text, message, col):
+        with pytest.raises(RequirementSyntaxError, match=message) as exc:
+            parse_requirements(text + "\n")
+        assert (exc.value.line, exc.value.col) == (1, col)
+
 
 class TestCanonicalForm:
     def test_templates_round_trip(self):
@@ -302,3 +318,29 @@ class TestCanonicalForm:
         assert serialize_requirements(reqs) == (
             "set s\nanchor A\nrequire x : path anchor->others == 1\n"
         )
+
+
+class TestReadmeGrammar:
+    """The grammar section of README.md shows only text the parser accepts."""
+
+    SECTION = README.read_text().split("## Requirements grammar")[1].split("\n## ")[0]
+    BULLETS = re.findall(r"^\* (.*?)(?=^\* |^$)", SECTION, re.M | re.S)
+    PLACEHOLDERS = {"PRED": "in_degree >= 1", "N": "2", "K": "2"}
+
+    def test_the_example_file_is_the_steel_vbe_set(self):
+        block = self.SECTION.split("```text\n")[1].split("```")[0]
+        assert parse_requirements(block) == template_steel_vbe()
+
+    def test_every_bullet_gives_a_body_that_parses(self):
+        assert len(self.BULLETS) == 7
+        for bullet in self.BULLETS:
+            # Code spans that start with a word and hold a space are bodies.
+            bodies = [
+                re.sub(r"\b(PRED|N|K)\b", lambda m: self.PLACEHOLDERS[m[1]], span)
+                for span in re.findall(r"`([^`]+)`", bullet.replace("\n  ", " "))
+                if " " in span and span[0].isalpha()
+            ]
+            assert bodies, bullet
+            for body in bodies:
+                anchor = "anchor\n" if re.search("anchor|others", body) else ""
+                parse_requirements(f"{anchor}require r : {body}\n")

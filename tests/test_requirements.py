@@ -22,7 +22,6 @@ from vbereq import (
     RequirementError,
     RequirementSet,
     template_broker,
-    template_generic_vbe,
     template_member,
     template_planner,
     template_steel_vbe,
@@ -169,19 +168,6 @@ class TestRequirementSet:
 
 
 class TestTemplates:
-    def test_generic_vbe(self):
-        reqs = template_generic_vbe(2)
-        assert reqs.name == "generic-vbe"
-        assert [r.label for r in reqs.requirements] == [
-            "min-size",
-            "density",
-            "max-eccentricity",
-        ]
-        with pytest.raises(RequirementError):
-            template_generic_vbe(0)
-        with pytest.raises(RequirementError):
-            template_generic_vbe("2")
-
     def test_member_is_a_density_disjunction(self):
         pred = template_member()
         assert isinstance(pred, Or)
