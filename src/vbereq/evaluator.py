@@ -7,14 +7,15 @@ and per-role candidate lists. Atoms flagged ``@parent`` are computed on
 the parent network (the network a candidate subset was drawn from); all
 other constraints see the network under evaluation.
 
-A ``SubsetJudge`` serves one search over the subsets of a parent: built
-once, it checks view, mode and anchor as ``evaluate`` does and reads what
-the rules already exclude; it then decides each subset it is handed with
-the same verdict code, stopping at the first failing requirement, or
-explains it as ``evaluate`` would, checking no precondition again. A
-report screens its network for role candidacies the first time
-``role_candidacies`` is read, so a report that is never rendered never
-pays for screening.
+Each requirement kind has one row in ``_KINDS``: its verdict and what it
+rules out of a search. A ``SubsetJudge`` serves one search over the
+subsets of a parent: built once, it checks view, mode and anchor as
+``evaluate`` does and reads what the rows rule out; it decides each
+subset it is handed through the same rows, stopping at the first failing
+requirement, or explains it as ``evaluate`` would, checking no
+precondition again. A report screens its network for role candidacies
+when ``role_candidacies`` is first read, so a report that is never
+rendered never pays for screening.
 
 Within one call, ``avg_others`` comes from one total per network and
 metric minus the actor's own value, so a predicate costs O(atoms) per
@@ -47,6 +48,7 @@ from .network import SocialNetwork
 from .render import metric_display
 from .reqtext import render_literal, render_predicate
 from .requirements import (
+    AnchorDesignation,
     And,
     Atom,
     AvgOfOthers,
@@ -240,16 +242,12 @@ def _screen(predicate, scope: _Scope) -> list[str]:
 # ``SubsetJudge`` and ``evaluate`` share one copy of every rule.
 
 
-def _decided(req: Requirement, satisfied: bool) -> Verdict:
-    return Verdict(req.label, satisfied, "")
-
-
 def _network_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     body: NetworkConstraint = req.body
     mv = observe_network_metric(scope.net, body.metric, view=scope.view, mode=scope.mode)
     satisfied = body.cmp.holds(mv.value, body.threshold)
     if not explain:
-        return _decided(req, satisfied)
+        return Verdict(req.label, satisfied, "")
     threshold = render_literal(body.threshold, body.metric in UNIT_INTERVAL_METRICS)
     detail = (
         f"{body.metric.value} = {metric_display(mv)}; "
@@ -265,7 +263,7 @@ def _forall_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     ]
     failing = (a for a in actors if not _holds(body.predicate, a, scope))
     if not explain:
-        return _decided(req, next(failing, None) is None)
+        return Verdict(req.label, next(failing, None) is None, "")
     failed = list(failing)
     pred_text = render_predicate(body.predicate)
     scope_text = " except anchor" if body.except_anchor else ""
@@ -291,7 +289,7 @@ def _count_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     bound_value = body.bound * net.size if body.fraction_of_size else body.bound
     satisfied = body.cmp.holds(count, bound_value)
     if not explain:
-        return _decided(req, satisfied)
+        return Verdict(req.label, satisfied, "")
     pred_text = render_predicate(body.predicate)
     bound_text = render_literal(body.bound, body.fraction_of_size)
     if body.fraction_of_size:
@@ -359,7 +357,7 @@ def _path_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
         if not body.cmp.holds(length, body.threshold)
     )
     if not explain:
-        return _decided(req, next(failing, None) is None)
+        return Verdict(req.label, next(failing, None) is None, "")
     violators = tuple(
         (
             sender,
@@ -376,17 +374,79 @@ def _path_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     return Verdict(req.label, False, detail, violators=violators)
 
 
+def _anchor_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
+    return Verdict(req.label, True, f"anchor = {scope.anchor}" if explain else "")
+
+
+def _atoms(pred) -> list[Atom]:
+    if isinstance(pred, Atom):
+        return [pred]
+    if isinstance(pred, Not):
+        return _atoms(pred.part)
+    return [atom for part in pred.parts for atom in _atoms(part)]
+
+
+def _size_ruled_out(body: NetworkConstraint, scope: _Scope, sizes, excluded, pairs):
+    if body.metric is MetricId.SIZE:
+        sizes -= {k for k in sizes if not body.cmp.holds(k, body.threshold)}
+
+
+def _forall_ruled_out(body: ForAllActors, scope: _Scope, sizes, excluded, pairs):
+    """The actors failing a ``forall`` whose atoms all read the parent."""
+    if all(atom.on_parent for atom in _atoms(body.predicate)):
+        exempt = scope.anchor if body.except_anchor else None
+        for a in scope.net.actors:
+            if a != exempt and not _holds(body.predicate, a, scope):
+                excluded.add(a)
+
+
+def _length_ruled_out(body: PairwisePath, length: MetricResult) -> bool:
+    """Whether a pair at ``length`` in the parent fails ``body`` in every
+    subnetwork holding both. An induced subnetwork keeps a direct tie and
+    only loses other paths, so there the length is exactly 1, or at least
+    the parent's, or UNREACHABLE as in the parent; only an upper bound can
+    rule out a length that may still grow."""
+    if not is_defined(length):
+        return True
+    if length == 1:
+        return not body.cmp.holds(1, body.threshold)
+    most = {
+        Comparator.LT: body.threshold - 1,
+        Comparator.LE: body.threshold,
+        Comparator.EQ: body.threshold,
+    }.get(body.cmp)
+    return most is not None and length > most
+
+
+def _path_ruled_out(body: PairwisePath, scope: _Scope, sizes, excluded, pairs):
+    anchor = scope.anchor
+    found = _path_pairs(body.between, scope.net.actors, anchor)
+    for x, y, length in _lengths(scope.net, found, scope.view):
+        if not _length_ruled_out(body, length):
+            continue
+        if anchor in (x, y):
+            # Every subset holds the anchor, so only the other actor counts.
+            excluded.add(y if x == anchor else x)
+        else:
+            pairs.add((x, y))
+
+
+# One row per requirement body kind: its verdict, and its rule-out (None for
+# none), which reads only the parent and takes out of ``sizes``, or adds to
+# ``excluded`` and ``pairs``, the sizes, actors and pairs of actors that no
+# satisfying subset of it has or holds.
+_KINDS = {
+    NetworkConstraint: (_network_verdict, _size_ruled_out),
+    ForAllActors: (_forall_verdict, _forall_ruled_out),
+    CountActors: (_count_verdict, None),
+    PairwisePath: (_path_verdict, _path_ruled_out),
+    AnchorDesignation: (_anchor_verdict, None),
+}
+
+
 def _verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
-    body = req.body
-    if isinstance(body, NetworkConstraint):
-        return _network_verdict(req, scope, explain)
-    if isinstance(body, ForAllActors):
-        return _forall_verdict(req, scope, explain)
-    if isinstance(body, CountActors):
-        return _count_verdict(req, scope, explain)
-    if isinstance(body, PairwisePath):
-        return _path_verdict(req, scope, explain)
-    return Verdict(req.label, True, f"anchor = {scope.anchor}")
+    verdict, _ = _KINDS[type(req.body)]
+    return verdict(req, scope, explain)
 
 
 def _checked_scope(
@@ -468,44 +528,21 @@ def _report(scope: _Scope, reqs: RequirementSet, network_name: str) -> Evaluatio
 # -- subset judge --------------------------------------------------------------
 
 
-def _atoms(pred) -> list[Atom]:
-    if isinstance(pred, Atom):
-        return [pred]
-    if isinstance(pred, Not):
-        return _atoms(pred.part)
-    return [atom for part in pred.parts for atom in _atoms(part)]
-
-
-def _length_ruled_out(body: PairwisePath, length: MetricResult) -> bool:
-    """Whether a pair at ``length`` in the parent fails ``body`` in every
-    subnetwork holding both. An induced subnetwork keeps a direct tie and
-    only loses other paths, so there the length is exactly 1, or at least
-    the parent's, or UNREACHABLE as in the parent; only an upper bound can
-    rule out a length that may still grow."""
-    if not is_defined(length):
-        return True
-    if length == 1:
-        return not body.cmp.holds(1, body.threshold)
-    most = {
-        Comparator.LT: body.threshold - 1,
-        Comparator.LE: body.threshold,
-        Comparator.EQ: body.threshold,
-    }.get(body.cmp)
-    return most is not None and length > most
-
-
 class SubsetJudge:
     """Decides, for one search, which subsets of ``parent`` satisfy ``reqs``, and why.
 
     Construction raises what :func:`evaluate` raises for ``view``, ``mode``
-    and ``anchor``, then keeps the effective ``anchor`` and what the rules
-    rule out: ``sizes``, the sizes every ``size`` constraint allows;
-    ``actors``, in parent order, those a satisfying subset may hold; and
-    ``conflicts``, pairs (x, y) of them, x first, it cannot hold together.
+    and ``anchor``, then keeps the effective ``anchor`` and what the rows
+    of ``_KINDS`` rule out: ``sizes``, the sizes every ``size`` constraint
+    allows; ``actors``, in parent order, those a satisfying subset may
+    hold; and ``conflicts``, pairs (x, y) of them, x first, it cannot hold
+    together.
     A ``forall`` whose atoms are all ``@parent`` excludes the actors failing
     it on the parent (the anchor too, unless ``except anchor``). A path
     rule excludes the pairs ``_length_ruled_out`` names, and a pair with
-    the anchor excludes the other actor. No other rule limits anything.
+    the anchor excludes the other actor. No other row limits anything. A
+    new requirement kind needs a row, besides its ``RequirementBody``
+    member, parser branch, and ``render_body`` and ``_needs_anchor`` cases.
     """
 
     def __init__(
@@ -522,36 +559,20 @@ class SubsetJudge:
         self.reqs = reqs
         self.anchor = anchor = scope.anchor
         self._scope = lambda sub: _Scope(sub, parent, anchor, view, mode)
-        sizes = range(1, parent.size + 1)
+        sizes = set(range(1, parent.size + 1))
         excluded: set[str] = set()
-        conflicts: set[tuple[str, str]] = set()
-        order = {a: i for i, a in enumerate(parent.actors)}
+        pairs: set[tuple[str, str]] = set()
         for req in reqs.requirements:
-            body = req.body
-            if isinstance(body, NetworkConstraint) and body.metric is MetricId.SIZE:
-                sizes = [k for k in sizes if body.cmp.holds(k, body.threshold)]
-            elif isinstance(body, ForAllActors) and all(
-                atom.on_parent for atom in _atoms(body.predicate)
-            ):
-                excluded.update(
-                    a
-                    for a in parent.actors
-                    if not (body.except_anchor and a == anchor)
-                    and not _holds(body.predicate, a, scope)
-                )
-            elif isinstance(body, PairwisePath):
-                pairs = _path_pairs(body.between, parent.actors, anchor)
-                for x, y, length in _lengths(parent, pairs, view):
-                    if not _length_ruled_out(body, length):
-                        continue
-                    if anchor in (x, y):
-                        excluded.add(y if x == anchor else x)
-                    else:
-                        conflicts.add((x, y) if order[x] < order[y] else (y, x))
+            rule_out = _KINDS[type(req.body)][1]
+            if rule_out:
+                rule_out(req.body, scope, sizes, excluded, pairs)
+        order = {a: i for i, a in enumerate(parent.actors)}
         self.sizes = frozenset(sizes)
         self.actors = tuple(a for a in parent.actors if a not in excluded)
         self.conflicts = frozenset(
-            pair for pair in conflicts if excluded.isdisjoint(pair)
+            (x, y) if order[x] < order[y] else (y, x)
+            for x, y in pairs
+            if excluded.isdisjoint((x, y))
         )
 
     def decide(self, actors: Iterable[str]) -> SocialNetwork | None:

@@ -229,7 +229,7 @@ class _LineParser:
             self.keyword("anchor")
             except_anchor = True
         self.next("lparen", "'('")
-        predicate = self.predicate()
+        predicate = self.or_expr()
         self.next("rparen", "')'")
         return ForAllActors(predicate, except_anchor)
 
@@ -237,10 +237,11 @@ class _LineParser:
         self.next("name")  # count
         self.keyword("actor")
         self.next("lparen", "'('")
-        predicate = self.predicate()
+        predicate = self.or_expr()
         self.next("rparen", "')'")
         cmp = self.comparator()
-        return self.finish_count(predicate, cmp)
+        bound, was_percent, token = self.literal()
+        return self.build_count(predicate, cmp, bound, was_percent, token)
 
     def exists_body(self) -> CountActors:
         self.next("name")  # exists
@@ -248,13 +249,9 @@ class _LineParser:
         bound, bound_was_percent, bound_token = self.literal()
         self.keyword("actor")
         self.next("lparen", "'('")
-        predicate = self.predicate()
+        predicate = self.or_expr()
         self.next("rparen", "')'")
         return self.build_count(predicate, cmp, bound, bound_was_percent, bound_token)
-
-    def finish_count(self, predicate, cmp: Comparator) -> CountActors:
-        bound, was_percent, token = self.literal()
-        return self.build_count(predicate, cmp, bound, was_percent, token)
 
     def build_count(
         self, predicate, cmp: Comparator, bound, was_percent: bool, token: _Token
@@ -268,10 +265,9 @@ class _LineParser:
     def path_body(self) -> PairwisePath:
         self.next("name")  # path
         scope_token = self.next("name", "a path scope")
-        parts = [scope_token.text]
         arrow = self.next("arrow", "'->'")
         target = self.next("name", "a path scope target")
-        spelled = f"{parts[0]}{arrow.text}{target.text}"
+        spelled = f"{scope_token.text}{arrow.text}{target.text}"
         scope = _PATH_SCOPES.get(spelled)
         if scope is None:
             raise self.error(
@@ -291,9 +287,6 @@ class _LineParser:
             raise self.error(f"expected '{word}', got {token.text!r}", token)
 
     # -- predicates --------------------------------------------------------
-
-    def predicate(self):
-        return self.or_expr()
 
     def or_expr(self):
         parts = [self.and_expr()]
@@ -324,7 +317,7 @@ class _LineParser:
             return Not(self.unary_expr())
         if token.kind == "lparen":
             self.next("lparen")
-            inner = self.predicate()
+            inner = self.or_expr()
             self.next("rparen", "')'")
             return inner
         return self.atom()
@@ -361,6 +354,7 @@ def parse_requirements(text: str) -> RequirementSet:
     """Parse requirements-file content into a :class:`RequirementSet`."""
     name: str | None = None
     requirements: list[Requirement] = []
+    positions: list[tuple[int, int]] = []  # (line, column) per requirement
     saw_statement = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -381,15 +375,13 @@ def parse_requirements(text: str) -> RequirementSet:
         saw_statement = True
         if head.text == "anchor":
             rest = raw[raw.index("anchor", head.col - 1) + len("anchor") :].strip()
-            anchor_id = rest or None
             try:
-                body: object = AnchorDesignation(anchor_id)
+                body: object = AnchorDesignation(rest or None)
             except ValueError as exc:
                 raise RequirementSyntaxError(str(exc), line_no, head.col) from None
-            requirements.append(Requirement("anchor", body))
-            continue
-        if head.text == "require":
-            label = None
+            label = "anchor"
+        elif head.text == "require":
+            label = f"r{len(requirements) + 1}"
             token = parser.peek()
             if (
                 token is not None
@@ -401,18 +393,18 @@ def parse_requirements(text: str) -> RequirementSet:
                 parser.next("colon")
             body = parser.body()
             parser.expect_end()
-            if label is None:
-                label = f"r{len(requirements) + 1}"
-            requirements.append(Requirement(label, body))
-            continue
-        raise parser.error(
-            f"unknown statement {head.text!r}; expected set, anchor, or require",
-            head,
-        )
+        else:
+            raise parser.error(
+                f"unknown statement {head.text!r}; expected set, anchor, or require",
+                head,
+            )
+        requirements.append(Requirement(label, body))
+        positions.append((line_no, head.col))
     try:
         return RequirementSet(name or "requirements", tuple(requirements))
     except RequirementError as exc:
-        raise RequirementSyntaxError(str(exc), 1, 1) from None
+        line, col = (1, 1) if exc.index is None else positions[exc.index]
+        raise RequirementSyntaxError(str(exc), line, col) from None
 
 
 # -- serialization -----------------------------------------------------------

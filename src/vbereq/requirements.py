@@ -29,7 +29,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Union, get_args
 
 from .metrics import ACTOR_METRICS, NETWORK_METRICS, UNIT_INTERVAL_METRICS, MetricId
 from .network import validate_actor_id
@@ -37,7 +37,11 @@ from .values import is_defined
 
 
 class RequirementError(ValueError):
-    """An AST invariant was violated while building requirements."""
+    """An AST invariant was violated; ``index`` names a set's offending requirement."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class Comparator(enum.Enum):
@@ -245,6 +249,8 @@ class Requirement:
 
     def __post_init__(self) -> None:
         _validate_name(self.label, "requirement label")
+        if type(self.body) not in get_args(RequirementBody):
+            raise RequirementError(f"not a requirement body: {self.body!r}")
         # The text format writes designations as a bare "anchor" line with no
         # label slot, so the label is pinned to keep round-trips exact.
         if isinstance(self.body, AnchorDesignation) and self.label != "anchor":
@@ -271,16 +277,16 @@ class RequirementSet:
         reqs = tuple(self.requirements)
         object.__setattr__(self, "requirements", reqs)
         labels = [r.label for r in reqs]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise RequirementError(f"duplicate requirement label {label!r}")
-        designations = [r for r in reqs if isinstance(r.body, AnchorDesignation)]
-        if len(designations) > 1:
-            raise RequirementError("at most one anchor designation per set")
-        if not designations and any(_needs_anchor(r.body) for r in reqs):
-            raise RequirementError(
-                "anchored constraints require an anchor designation in the set"
-            )
+        kinds = [type(r.body) for r in reqs]
+        for index, label in enumerate(labels):
+            if kinds[index] is AnchorDesignation and AnchorDesignation in kinds[:index]:
+                raise RequirementError("at most one anchor designation per set", index)
+            if label in labels[:index]:
+                raise RequirementError(f"duplicate requirement label {label!r}", index)
+        anchored = [i for i, r in enumerate(reqs) if _needs_anchor(r.body)]
+        if anchored and AnchorDesignation not in kinds:
+            message = "anchored constraints require an anchor designation in the set"
+            raise RequirementError(message, anchored[0])
 
     @property
     def needs_anchor(self) -> bool:

@@ -2,6 +2,10 @@
 
 import ast
 from pathlib import Path
+from typing import get_args
+
+from vbereq import evaluator
+from vbereq.requirements import RequirementBody
 
 PACKAGE = Path(__file__).parents[1] / "src" / "vbereq"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
@@ -158,3 +162,17 @@ def test_one_json_writer():
         and getattr(node.value, "id", "") == "json"
     ]
     assert writers == ["render"]
+
+
+def test_requirement_kinds_are_dispatched_only_through_the_evaluator_table():
+    kinds = {kind.__name__ for kind in get_args(RequirementBody)}
+    checked = [
+        node.lineno
+        for node in ast.walk(MODULES["evaluator"])
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", "") == "isinstance"
+        and {getattr(n, "id", "") for n in ast.walk(node.args[1])} & kinds
+    ]
+    assert checked == []
+    # One row per kind, so a new kind without a row fails here.
+    assert set(evaluator._KINDS) == set(get_args(RequirementBody))

@@ -270,18 +270,45 @@ class TestErrors:
         assert exc.value.line == 2
 
     @pytest.mark.parametrize(
-        "text, message, col",
+        "text, message, line, col",
         [
-            ("require x : count actor (in_degree >= 1) >= 150%", "must lie in", 45),
-            ("require x : forall actor (in_density > 2)", "explicit % suffix", 40),
-            ("anchor a:b", "must not contain ',' or ':'", 1),
+            ("require x : count actor (in_degree >= 1) >= 150%", "must lie in", 1, 45),
+            ("require x : forall actor (in_density > 2)", "explicit % suffix", 1, 40),
+            ("anchor a:b", "must not contain ',' or ':'", 1, 1),
+            # Set-level errors point at the statement that breaks the set.
+            (
+                "set s\nrequire a : size >= 2\n\nrequire a : size >= 3",
+                "duplicate requirement label 'a'",
+                4,
+                1,
+            ),
+            (
+                "set s\nrequire size >= 2\n# rules\n  require path anchor->others <= 2"
+                "\nrequire path others->others <= 3",
+                "anchored constraints require an anchor designation",
+                4,
+                3,
+            ),
+            (
+                "set s\nanchor A\nrequire size >= 2\nanchor B",
+                "at most one anchor designation per set",
+                4,
+                1,
+            ),
         ],
-        ids=["count-bound", "atom-threshold", "anchor-id"],
+        ids=[
+            "count-bound",
+            "atom-threshold",
+            "anchor-id",
+            "duplicate-label",
+            "anchored-without-anchor",
+            "second-anchor",
+        ],
     )
-    def test_ast_validation_errors_are_located(self, text, message, col):
+    def test_ast_validation_errors_are_located(self, text, message, line, col):
         with pytest.raises(RequirementSyntaxError, match=message) as exc:
             parse_requirements(text + "\n")
-        assert (exc.value.line, exc.value.col) == (1, col)
+        assert (exc.value.line, exc.value.col) == (line, col)
 
 
 class TestCanonicalForm:

@@ -130,17 +130,24 @@ class TestRequirementSet:
         with pytest.raises(RequirementError, match="'anchor'"):
             Requirement("pin", AnchorDesignation("A"))
 
+    def test_bodies_are_the_five_kinds(self):
+        # An atom belongs inside a predicate; on its own it is no requirement.
+        with pytest.raises(RequirementError, match="not a requirement body"):
+            RequirementSet("s", (Requirement("r", atom(ref=100)),))
+
     def test_duplicate_labels_rejected(self):
         req = Requirement("x", NetworkConstraint(MetricId.SIZE, Comparator.GE, 1))
         with pytest.raises(RequirementError, match="duplicate"):
             RequirementSet("s", (req, req))
 
     def test_single_designation(self):
-        # two designations necessarily share the fixed 'anchor' label, so the
-        # duplicate-label rule rejects the set before anything else can
+        # two designations share the fixed 'anchor' label, but the second is
+        # reported as a designation, at its own index
         a = Requirement("anchor", AnchorDesignation("A"))
-        with pytest.raises(RequirementError, match="duplicate requirement label"):
-            RequirementSet("s", (a, a))
+        size = Requirement("r1", NetworkConstraint(MetricId.SIZE, Comparator.GE, 1))
+        with pytest.raises(RequirementError, match="at most one anchor designation") as info:
+            RequirementSet("s", (a, size, a))
+        assert info.value.index == 2
 
     def test_anchored_bodies_need_designation(self):
         path = Requirement(
