@@ -542,7 +542,7 @@ class SubsetJudge:
     rule excludes the pairs ``_length_ruled_out`` names, and a pair with
     the anchor excludes the other actor. No other row limits anything. A
     new requirement kind needs a row, besides its ``RequirementBody``
-    member, parser branch, and ``render_body`` and ``_needs_anchor`` cases.
+    member, parser reader, and ``render_body`` and ``_needs_anchor`` cases.
     """
 
     def __init__(

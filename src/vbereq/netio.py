@@ -34,10 +34,9 @@ def parse_matrix_csv(text: str) -> SocialNetwork:
     if not rows:
         raise FormatError("empty matrix file")
     header = _split_csv_row(rows[0])
-    if header and header[0] == "":
+    # The row is not blank, so an empty first cell has at least one after it.
+    if header[0] == "":
         header = header[1:]
-    if not header:
-        raise FormatError("line 1: header row has no actor ids")
     seen: set[str] = set()
     for actor in header:
         try:

@@ -58,8 +58,6 @@ def metric_display(mv: MetricValue) -> str:
     extras = [decimal_str(value)]
     if mv.metric in UNIT_INTERVAL_METRICS:
         extras.append(percent_str(value))
-    if extras == [frac]:
-        return frac
     return f"{frac} ({', '.join(extras)})"
 
 

@@ -119,18 +119,18 @@ def _tokenize(text: str, line_no: int) -> list[_Token]:
     return tokens
 
 
-def _parse_number(text: str) -> tuple[int | Fraction, bool]:
-    """Return (value, was_percent). Integer literals come back as int."""
+def _parse_number(text: str) -> int | Fraction:
+    """Integer literals come back as int, every other literal as a Fraction."""
     if text.endswith("%"):
-        return Fraction(text[:-1]) / 100, True
+        return Fraction(text[:-1]) / 100
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
             raise ZeroDivisionError
-        return Fraction(int(num), int(den)), False
+        return Fraction(int(num), int(den))
     if "." in text:
-        return Fraction(text), False
-    return int(text), False
+        return Fraction(text)
+    return int(text)
 
 
 class _LineParser:
@@ -149,21 +149,36 @@ class _LineParser:
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, expect: str | None = None, what: str = "") -> _Token:
+    def next(self, expect: str, what: str = "") -> _Token:
         token = self.peek()
         if token is None:
             raise self.error(f"unexpected end of line; expected {what or expect}")
-        if expect is not None and token.kind != expect:
+        if token.kind != expect:
             raise self.error(
                 f"expected {what or expect}, got {token.text!r}", token
             )
         self.pos += 1
         return token
 
+    def at(self, text: str) -> bool:
+        """Consume the next token if it reads ``text``."""
+        token = self.peek()
+        if token is None or token.text != text:
+            return False
+        self.pos += 1
+        return True
+
     def expect_end(self) -> None:
         token = self.peek()
         if token is not None:
             raise self.error(f"unexpected trailing {token.text!r}", token)
+
+    def build(self, node, token: _Token, *args):
+        """``node(*args)``, reporting the node's own check as an error at ``token``."""
+        try:
+            return node(*args)
+        except RequirementError as exc:
+            raise self.error(str(exc), token) from None
 
     # -- pieces ----------------------------------------------------------
 
@@ -171,17 +186,17 @@ class _LineParser:
         token = self.next("cmp", "a comparator")
         return _CMP_BY_TEXT[token.text]
 
-    def literal(self) -> tuple[int | Fraction, bool, _Token]:
+    def literal(self) -> tuple[int | Fraction, _Token]:
         token = self.next("number", "a number")
         try:
-            value, was_percent = _parse_number(token.text)
+            value = _parse_number(token.text)
             str(value)  # rendering must be able to write the value back
         except ZeroDivisionError:
             raise self.error("zero denominator", token) from None
         except ValueError:
             # Python refuses int <-> str conversions past a digit limit.
             raise self.error("number has too many digits", token) from None
-        return value, was_percent, token
+        return value, token
 
     def metric(self, scope: frozenset[MetricId], scope_word: str) -> MetricId:
         token = self.next("name", "a metric name")
@@ -196,74 +211,55 @@ class _LineParser:
             )
         return metric
 
+    def keyword(self, word: str) -> None:
+        token = self.next("name", f"'{word}'")
+        if token.text != word:
+            raise self.error(f"expected '{word}', got {token.text!r}", token)
+
+    # -- bodies ------------------------------------------------------------
+
     def body(self) -> NetworkConstraint | ForAllActors | CountActors | PairwisePath:
         token = self.peek()
         if token is None:
             raise self.error("missing requirement body")
-        if token.kind == "name" and token.text == "forall":
-            return self.forall_body()
-        if token.kind == "name" and token.text == "count":
-            return self.count_body()
-        if token.kind == "name" and token.text == "exists":
-            return self.exists_body()
-        if token.kind == "name" and token.text == "path":
-            return self.path_body()
-        return self.network_body()
+        read = self.KEYWORD_BODIES.get(token.text)
+        if read is None:
+            return self.network_body()
+        self.pos += 1
+        return read(self)
 
     def network_body(self) -> NetworkConstraint:
         metric = self.metric(NETWORK_METRICS, "network")
         cmp = self.comparator()
-        value, _, value_token = self.literal()
-        try:
-            return NetworkConstraint(metric, cmp, value)
-        except RequirementError as exc:
-            raise self.error(str(exc), value_token) from None
+        value, token = self.literal()
+        return self.build(NetworkConstraint, token, metric, cmp, value)
 
     def forall_body(self) -> ForAllActors:
-        self.next("name")  # forall
         self.keyword("actor")
-        except_anchor = False
-        token = self.peek()
-        if token is not None and token.kind == "name" and token.text == "except":
-            self.next("name")
+        except_anchor = self.at("except")
+        if except_anchor:
             self.keyword("anchor")
-            except_anchor = True
-        self.next("lparen", "'('")
-        predicate = self.or_expr()
-        self.next("rparen", "')'")
-        return ForAllActors(predicate, except_anchor)
+        return ForAllActors(self.parenthesized(), except_anchor)
 
     def count_body(self) -> CountActors:
-        self.next("name")  # count
         self.keyword("actor")
-        self.next("lparen", "'('")
-        predicate = self.or_expr()
-        self.next("rparen", "')'")
+        predicate = self.parenthesized()
         cmp = self.comparator()
-        bound, was_percent, token = self.literal()
-        return self.build_count(predicate, cmp, bound, was_percent, token)
+        bound, token = self.literal()
+        return self.count(predicate, cmp, bound, token)
 
     def exists_body(self) -> CountActors:
-        self.next("name")  # exists
         cmp = self.comparator()
-        bound, bound_was_percent, bound_token = self.literal()
+        bound, token = self.literal()
         self.keyword("actor")
-        self.next("lparen", "'('")
-        predicate = self.or_expr()
-        self.next("rparen", "')'")
-        return self.build_count(predicate, cmp, bound, bound_was_percent, bound_token)
+        return self.count(self.parenthesized(), cmp, bound, token)
 
-    def build_count(
-        self, predicate, cmp: Comparator, bound, was_percent: bool, token: _Token
-    ) -> CountActors:
-        fraction_of_size = was_percent or not isinstance(bound, int)
-        try:
-            return CountActors(predicate, cmp, bound, fraction_of_size)
-        except RequirementError as exc:
-            raise self.error(str(exc), token) from None
+    def count(self, predicate, cmp: Comparator, bound, token: _Token) -> CountActors:
+        # Any literal but a bare integer is a fraction of network size.
+        fraction_of_size = not isinstance(bound, int)
+        return self.build(CountActors, token, predicate, cmp, bound, fraction_of_size)
 
     def path_body(self) -> PairwisePath:
-        self.next("name")  # path
         scope_token = self.next("name", "a path scope")
         arrow = self.next("arrow", "'->'")
         target = self.next("name", "a path scope target")
@@ -276,78 +272,63 @@ class _LineParser:
                 scope_token,
             )
         cmp = self.comparator()
-        value, was_percent, token = self.literal()
-        if was_percent or not isinstance(value, int):
-            raise self.error("path thresholds must be integers", token)
-        return PairwisePath(scope, cmp, value)
+        value, token = self.literal()
+        return self.build(PairwisePath, token, scope, cmp, value)
 
-    def keyword(self, word: str) -> None:
-        token = self.next("name", f"'{word}'")
-        if token.text != word:
-            raise self.error(f"expected '{word}', got {token.text!r}", token)
+    # The keyword that opens a body, read by ``body``; any other body is a
+    # network constraint.
+    KEYWORD_BODIES = {
+        "forall": forall_body,
+        "count": count_body,
+        "exists": exists_body,
+        "path": path_body,
+    }
 
     # -- predicates --------------------------------------------------------
 
-    def or_expr(self):
-        parts = [self.and_expr()]
-        while True:
-            token = self.peek()
-            if token is None or token.kind != "name" or token.text != "or":
-                break
-            self.next("name")
-            parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+    def parenthesized(self):
+        self.next("lparen", "'('")
+        predicate = self.joined("or", Or, self.conjunction)
+        self.next("rparen", "')'")
+        return predicate
 
-    def and_expr(self):
-        parts = [self.unary_expr()]
-        while True:
-            token = self.peek()
-            if token is None or token.kind != "name" or token.text != "and":
-                break
-            self.next("name")
-            parts.append(self.unary_expr())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+    def conjunction(self):
+        return self.joined("and", And, self.unary)
 
-    def unary_expr(self):
+    def joined(self, word: str, node, part):
+        """``part`` once, or two or more times joined by ``word`` into ``node``."""
+        parts = [part()]
+        while self.at(word):
+            parts.append(part())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
+
+    def unary(self):
         token = self.peek()
         if token is None:
             raise self.error("unexpected end of predicate")
-        if token.kind == "name" and token.text == "not":
-            self.next("name")
-            return Not(self.unary_expr())
+        if self.at("not"):
+            return Not(self.unary())
         if token.kind == "lparen":
-            self.next("lparen")
-            inner = self.or_expr()
-            self.next("rparen", "')'")
-            return inner
+            return self.parenthesized()
         return self.atom()
 
     def atom(self) -> Atom:
-        metric_token = self.peek()
         metric = self.metric(ACTOR_METRICS, "actor")
         cmp = self.comparator()
-        reference, ref_token = self.reference()
-        on_parent = False
-        token = self.peek()
-        if token is not None and token.kind == "at":
-            self.next("at")
+        reference, token = self.reference()
+        on_parent = self.at("@")
+        if on_parent:
             self.keyword("parent")
-            on_parent = True
-        try:
-            return Atom(metric, cmp, reference, on_parent)
-        except RequirementError as exc:
-            raise self.error(str(exc), ref_token or metric_token) from None
+        return self.build(Atom, token, metric, cmp, reference, on_parent)
 
-    def reference(self) -> tuple[object, _Token | None]:
+    def reference(self) -> tuple[object, _Token]:
         token = self.peek()
-        if token is not None and token.kind == "name" and token.text == "avg_others":
-            self.next("name")
+        if self.at("avg_others"):
             self.next("lparen", "'('")
             metric = self.metric(ACTOR_METRICS, "actor")
             self.next("rparen", "')'")
             return AvgOfOthers(metric), token
-        value, _, value_token = self.literal()
-        return value, value_token
+        return self.literal()
 
 
 def parse_requirements(text: str) -> RequirementSet:
@@ -382,15 +363,8 @@ def parse_requirements(text: str) -> RequirementSet:
             label = "anchor"
         elif head.text == "require":
             label = f"r{len(requirements) + 1}"
-            token = parser.peek()
-            if (
-                token is not None
-                and token.kind == "name"
-                and parser.pos + 1 < len(tokens)
-                and tokens[parser.pos + 1].kind == "colon"
-            ):
-                label = parser.next("name").text
-                parser.next("colon")
+            if [token.kind for token in tokens[1:3]] == ["name", "colon"]:
+                label, parser.pos = tokens[1].text, 3
             body = parser.body()
             parser.expect_end()
         else:
@@ -446,14 +420,13 @@ def render_predicate(pred) -> str:
         text = render_predicate(part)
         return text if isinstance(part, Atom) else f"({text})"
 
-    if isinstance(pred, And):
-        return " and ".join(wrap(p) for p in pred.parts)
-    if isinstance(pred, Or):
-        return " or ".join(wrap(p) for p in pred.parts)
-    raise TypeError(f"not a predicate: {pred!r}")
+    joiner = " and " if isinstance(pred, And) else " or "
+    return joiner.join(wrap(p) for p in pred.parts)
 
 
 def render_body(body) -> str:
+    """Text of any body but a designation, which ``serialize_requirements``
+    writes as its own ``anchor`` line; the rest is a ``PairwisePath``."""
     if isinstance(body, NetworkConstraint):
         literal = render_literal(
             body.threshold, body.metric in UNIT_INTERVAL_METRICS
@@ -467,9 +440,7 @@ def render_body(body) -> str:
             f"count actor ({render_predicate(body.predicate)}) "
             f"{body.cmp.value} {render_literal(body.bound, body.fraction_of_size)}"
         )
-    if isinstance(body, PairwisePath):
-        return f"path {body.between.value} {body.cmp.value} {body.threshold}"
-    raise TypeError(f"not a requirement body: {body!r}")
+    return f"path {body.between.value} {body.cmp.value} {body.threshold}"
 
 
 def serialize_requirements(reqs: RequirementSet) -> str:

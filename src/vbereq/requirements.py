@@ -21,11 +21,18 @@ under evaluation, which is how "has a partner outside the candidate group"
 is expressed.
 
 Thresholds and comparisons are exact rationals end to end.
+
+The AST is valid by construction: every node checks its children when it is
+built and rejects, with ``RequirementError``, a set member that is not a
+``Requirement``, a body that is not one of the five kinds, and a predicate or
+predicate part that is not an ``Atom``, ``And``, ``Or`` or ``Not``. The
+parser, the serializer and the evaluator trust any AST they are given.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,15 +62,16 @@ class Comparator(enum.Enum):
         """Exact comparison; false whenever either side is a sentinel."""
         if not (is_defined(lhs) and is_defined(rhs)):
             return False
-        if self is Comparator.LT:
-            return lhs < rhs
-        if self is Comparator.LE:
-            return lhs <= rhs
-        if self is Comparator.EQ:
-            return lhs == rhs
-        if self is Comparator.GE:
-            return lhs >= rhs
-        return lhs > rhs
+        return _OPERATORS[self](lhs, rhs)
+
+
+_OPERATORS = {
+    Comparator.LT: operator.lt,
+    Comparator.LE: operator.le,
+    Comparator.EQ: operator.eq,
+    Comparator.GE: operator.ge,
+    Comparator.GT: operator.gt,
+}
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*\Z")
@@ -75,6 +83,21 @@ def _validate_name(name: str, what: str) -> str:
             f"{what} {name!r} must be a word token (letters, digits, _, inner -)"
         )
     return name
+
+
+def _check_child(child, kinds: tuple, what: str, index: int | None = None) -> None:
+    """Reject a child that is not a node of one of ``kinds``."""
+    if type(child) not in kinds:
+        raise RequirementError(f"not {what}: {child!r}", index)
+
+
+def _check_parts(node: And | Or, word: str) -> None:
+    """Store ``parts`` as a tuple of two or more actor predicates."""
+    object.__setattr__(node, "parts", tuple(node.parts))
+    if len(node.parts) < 2:
+        raise RequirementError(f"'{word}' needs at least two parts")
+    for part in node.parts:
+        _check_child(part, _PREDICATES, "an actor predicate")
 
 
 def _validate_threshold(metric: MetricId, value) -> None:
@@ -132,9 +155,7 @@ class And:
     parts: tuple["ActorPredicate", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.parts) < 2:
-            raise RequirementError("'and' needs at least two parts")
+        _check_parts(self, "and")
 
 
 @dataclass(frozen=True)
@@ -142,17 +163,19 @@ class Or:
     parts: tuple["ActorPredicate", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.parts) < 2:
-            raise RequirementError("'or' needs at least two parts")
+        _check_parts(self, "or")
 
 
 @dataclass(frozen=True)
 class Not:
     part: "ActorPredicate"
 
+    def __post_init__(self) -> None:
+        _check_child(self.part, _PREDICATES, "an actor predicate")
+
 
 ActorPredicate = Union[Atom, And, Or, Not]
+_PREDICATES = get_args(ActorPredicate)
 
 
 @dataclass(frozen=True)
@@ -178,6 +201,9 @@ class ForAllActors:
     predicate: ActorPredicate
     except_anchor: bool = False
 
+    def __post_init__(self) -> None:
+        _check_child(self.predicate, _PREDICATES, "an actor predicate")
+
 
 @dataclass(frozen=True)
 class CountActors:
@@ -193,6 +219,7 @@ class CountActors:
     fraction_of_size: bool = False
 
     def __post_init__(self) -> None:
+        _check_child(self.predicate, _PREDICATES, "an actor predicate")
         if self.fraction_of_size:
             if not isinstance(self.bound, (int, Fraction)) or not 0 <= self.bound <= 1:
                 raise RequirementError("fraction-of-size bounds must lie in [0,1]")
@@ -240,6 +267,7 @@ class AnchorDesignation:
 RequirementBody = Union[
     NetworkConstraint, ForAllActors, CountActors, PairwisePath, AnchorDesignation
 ]
+_BODIES = get_args(RequirementBody)
 
 
 @dataclass(frozen=True)
@@ -249,8 +277,7 @@ class Requirement:
 
     def __post_init__(self) -> None:
         _validate_name(self.label, "requirement label")
-        if type(self.body) not in get_args(RequirementBody):
-            raise RequirementError(f"not a requirement body: {self.body!r}")
+        _check_child(self.body, _BODIES, "a requirement body")
         # The text format writes designations as a bare "anchor" line with no
         # label slot, so the label is pinned to keep round-trips exact.
         if isinstance(self.body, AnchorDesignation) and self.label != "anchor":
@@ -276,6 +303,8 @@ class RequirementSet:
         _validate_name(self.name, "requirement set name")
         reqs = tuple(self.requirements)
         object.__setattr__(self, "requirements", reqs)
+        for index, req in enumerate(reqs):
+            _check_child(req, (Requirement,), "a requirement", index)
         labels = [r.label for r in reqs]
         kinds = [type(r.body) for r in reqs]
         for index, label in enumerate(labels):

@@ -176,3 +176,26 @@ def test_requirement_kinds_are_dispatched_only_through_the_evaluator_table():
     assert checked == []
     # One row per kind, so a new kind without a row fails here.
     assert set(evaluator._KINDS) == set(get_args(RequirementBody))
+
+
+def test_the_parser_trusts_the_ast_to_check_itself():
+    reqtext = MODULES["reqtext"]
+    # A node's own check becomes a located syntax error in one place per
+    # level: ``build`` for a node, ``parse_requirements`` for the set.
+    catching = {}
+    for function in ast.walk(reqtext):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    names = {getattr(n, "id", "") for n in ast.walk(node.type)}
+                    if "RequirementError" in names:
+                        catching[node.lineno] = function.name
+    assert sorted(catching.values()) == ["build", "parse_requirements"]
+    # The serializer meets only nodes that passed their checks.
+    raised = [
+        node.lineno
+        for node in ast.walk(reqtext)
+        if isinstance(node, ast.Raise)
+        and "TypeError" in {getattr(n, "id", "") for n in ast.walk(node)}
+    ]
+    assert raised == []

@@ -105,6 +105,24 @@ class TestCheckCommand:
         assert doc["network"] == "wholesale[A,C,E,F]"
         assert doc["anchor"] == "A"
 
+    def test_parent_with_unknown_suffix_falls_back_to_format(self, tmp_path, capsys):
+        parent = tmp_path / "wholesale.dat"
+        parent.write_text(Path(WHOLESALE_EDGES).read_text())
+        argv = [
+            "check",
+            "--network", WHOLESALE_EDGES,
+            "--requirements", WHOLESALER_REQ,
+            "--actors", "A,C,E,F",
+            "--anchor", "A",
+            "--undirected",
+        ]
+        assert main(argv + ["--parent", WHOLESALE_EDGES]) == 0
+        expected = capsys.readouterr().out
+        assert main(argv + ["--parent", str(parent)]) == 2
+        assert "--format" in capsys.readouterr().err
+        assert main(argv + ["--parent", str(parent), "--format", "edges"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_anchor_required_when_set_needs_one(self, capsys):
         rc = main(
             ["check", "--network", WHOLESALE_EDGES, "--requirements", WHOLESALER_REQ]

@@ -265,6 +265,12 @@ class TestRoles:
         assert role_candidates(net, "broker") == ["A", "B"]
         assert role_candidates(net, "planner") == []
 
+    def test_members_only_without_members_finds_no_one(self):
+        # No ties, so no member candidates to screen a broker among.
+        net = SocialNetwork(tuple("ABC"))
+        assert role_candidates(net, "member") == []
+        assert role_candidates(net, "broker", members_only=True) == []
+
     def test_report_screens_roles_when_read(self, steel10, steel_vbe_reqs):
         report = evaluate(steel10, steel_vbe_reqs)
         assert "role_candidacies" not in vars(report)

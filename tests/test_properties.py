@@ -413,7 +413,7 @@ def search_cases(draw, max_size: int = 7):
 WHOLESALE_CASE = (load_wholesale(), template_wholesaler(), "A", 1, 10)
 
 
-def search_limits(parent, reqs, anchor=None, *, view="directed", mode="strict"):
+def judge_limits(parent, reqs, anchor=None, *, view="directed", mode="strict"):
     """What a search's judge rules out: ``(sizes, actors, conflicts)``."""
     judge = SubsetJudge(parent, reqs, anchor, view=view, mode=mode)
     return judge.sizes, judge.actors, judge.conflicts
@@ -464,6 +464,18 @@ CHAIN_CASE = (
     None,
     1,
     3,
+)
+
+
+# One tie, so A and B are one step apart only in the undirected view.
+ONE_WAY_CASE = (
+    SocialNetwork(("A", "B"), frozenset({("A", "B")})),
+    RequirementSet(
+        "near", (Requirement("r", PairwisePath(PathScope.ALL_PAIRS, Comparator.LE, 1)),)
+    ),
+    None,
+    1,
+    2,
 )
 
 
@@ -530,6 +542,7 @@ class TestSearchAgainstBruteForce:
     )
     @example(WHOLESALE_CASE, "undirected", "strict", "size")
     @example(WHOLESALE_CASE, "directed", "lenient", "first")
+    @example(ONE_WAY_CASE, "undirected", "strict", "size")
     def test_same_solutions_as_brute_force(self, case, view, mode, objective):
         net, reqs, anchor, lo, hi = case
         cfg = SearchConfig(lo, hi, objective=objective)
@@ -543,7 +556,7 @@ class TestSearchAgainstBruteForce:
     @example(WHOLESALE_CASE, "undirected")
     def test_cap_counts_exactly_the_subsets_no_rule_excludes(self, case, view):
         net, reqs, anchor, lo, hi = case
-        sizes, actors, conflicts = search_limits(net, reqs, anchor, view=view)
+        sizes, actors, conflicts = judge_limits(net, reqs, anchor, view=view)
         decided = sum(
             1
             for k in range(lo, hi + 1)
@@ -564,7 +577,7 @@ class TestSearchAgainstBruteForce:
     @example(WHOLESALE_CASE, "undirected", "strict")
     def test_limits_exclude_no_satisfying_subset(self, case, view, mode):
         net, reqs, anchor, _, _ = case
-        sizes, admissible, conflicts = search_limits(
+        sizes, admissible, conflicts = judge_limits(
             net, reqs, anchor, view=view, mode=mode
         )
         satisfying = brute_search(
@@ -593,7 +606,7 @@ def _raised(call) -> str:
     return str(info.value)
 
 
-class TestSatisfies:
+class TestSubsetJudge:
     """A search's judge accepts exactly the subsets ``evaluate`` passes."""
 
     @settings(max_examples=300, deadline=None)
@@ -632,6 +645,120 @@ class TestSatisfies:
         reqs = RequirementSet("anchored", (Requirement("anchor", AnchorDesignation()),))
         assert _raised(lambda: SubsetJudge(net, reqs, "A", **kwargs)) == _raised(
             lambda: evaluate(net, reqs, "A", **kwargs)
+        )
+
+
+# Fresh ids whose order differs from the order of the ids they replace.
+RENAMED = ("zeta", "Q-1", "m", "a_2", "Kx", "b", "y9", "C", "n-n", "d")
+
+
+# (fresh ids, new positions), read by ``bijection``.
+RELABELINGS = st.tuples(st.permutations(RENAMED), st.permutations(range(len(RENAMED))))
+
+
+def bijection(actors, relabeling):
+    """``(rename, order)``: ``actors`` mapped to fresh ids, and the renamed
+    actors in a new order."""
+    names, positions = relabeling
+    rename = dict(zip(actors, names))
+    order = tuple(rename[actors[i]] for i in positions if i < len(actors))
+    return rename, order
+
+
+def relabeled(net, rename, order):
+    """``net`` with its actors renamed and listed as they come in ``order``."""
+    actors = {rename[a] for a in net.actors}
+    return SocialNetwork(
+        tuple(a for a in order if a in actors),
+        frozenset((rename[a], rename[b]) for a, b in net.ties),
+    )
+
+
+def _verdict_images(report, rename=None):
+    """Per verdict: label, flag, witness set and violator counts per actor,
+    with every actor mapped through ``rename``."""
+    image = (lambda a: a) if rename is None else rename.__getitem__
+    return [
+        (
+            v.label,
+            v.satisfied,
+            frozenset(map(image, v.witnesses)),
+            Counter(image(a) for a, _ in v.violators),
+        )
+        for v in report.verdicts
+    ]
+
+
+class TestRelabeling:
+    """Renaming and reordering a network's actors maps verdicts, witnesses,
+    violators and solutions through the bijection (a metamorphic relation:
+    Chen, Cheung & Yiu, "Metamorphic testing", HKUST-CS98-01, 1998)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        subnetworks(max_size=7),
+        st.one_of(requirement_sets(allow_parent=True), path_rule_sets()),
+        st.sampled_from(VIEWS),
+        st.sampled_from(MODES),
+        st.booleans(),
+        RELABELINGS,
+        st.data(),
+    )
+    def test_evaluate(self, pair, reqs, view, mode, with_parent, relabeling, data):
+        parent, net = pair
+        anchor = data.draw(st.sampled_from(net.actors)) if reqs.needs_anchor else None
+        rename, order = bijection(parent.actors, relabeling)
+        report = evaluate(
+            net,
+            reqs,
+            anchor,
+            parent=parent if with_parent else None,
+            view=view,
+            mode=mode,
+        )
+        moved = evaluate(
+            relabeled(net, rename, order),
+            reqs,
+            None if anchor is None else rename[anchor],
+            parent=relabeled(parent, rename, order) if with_parent else None,
+            view=view,
+            mode=mode,
+        )
+        assert moved.overall == report.overall
+        assert _verdict_images(moved) == _verdict_images(report, rename)
+
+    # The "first" objective returns the first hit in actor order, so it is
+    # not invariant under reordering and is left out.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        search_cases(),
+        st.sampled_from(VIEWS),
+        st.sampled_from(MODES),
+        st.sampled_from(("size", "density")),
+        RELABELINGS,
+    )
+    @example(
+        WHOLESALE_CASE, "undirected", "strict", "size",
+        (RENAMED[::-1], tuple(range(len(RENAMED)))[::-1]),
+    )
+    def test_search_exhaustive(self, case, view, mode, objective, relabeling):
+        net, reqs, anchor, lo, hi = case
+        rename, order = bijection(net.actors, relabeling)
+        cfg = SearchConfig(lo, hi, objective=objective)
+        found = search_exhaustive(net, reqs, cfg, anchor, view=view, mode=mode)
+        moved = search_exhaustive(
+            relabeled(net, rename, order),
+            reqs,
+            cfg,
+            None if anchor is None else rename[anchor],
+            view=view,
+            mode=mode,
+        )
+        assert Counter(
+            (frozenset(s.actors), s.objective_value) for s in moved
+        ) == Counter(
+            (frozenset(map(rename.__getitem__, s.actors)), s.objective_value)
+            for s in found
         )
 
 

@@ -274,6 +274,8 @@ class TestErrors:
         [
             ("require x : count actor (in_degree >= 1) >= 150%", "must lie in", 1, 45),
             ("require x : forall actor (in_density > 2)", "explicit % suffix", 1, 40),
+            ("require path all->all <= 5%", "path thresholds must be integers", 1, 26),
+            ("require path all->all <= 3/2", "path thresholds must be integers", 1, 26),
             ("anchor a:b", "must not contain ',' or ':'", 1, 1),
             # Set-level errors point at the statement that breaks the set.
             (
@@ -299,6 +301,8 @@ class TestErrors:
         ids=[
             "count-bound",
             "atom-threshold",
+            "path-percent",
+            "path-fraction",
             "anchor-id",
             "duplicate-label",
             "anchored-without-anchor",
@@ -309,6 +313,20 @@ class TestErrors:
         with pytest.raises(RequirementSyntaxError, match=message) as exc:
             parse_requirements(text + "\n")
         assert (exc.value.line, exc.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            ("require a :", "missing requirement body", 12),
+            ("require forall actors (in_degree > 1)", "expected 'actor', got 'actors'", 16),
+            ("require forall actor (", "unexpected end of predicate", 23),
+        ],
+        ids=["no-body", "misspelt-keyword", "open-predicate"],
+    )
+    def test_grammar_errors_are_located(self, text, message, col):
+        with pytest.raises(RequirementSyntaxError) as exc:
+            parse_requirements(text + "\n")
+        assert str(exc.value) == f"line 1, column {col}: {message}"
 
 
 class TestCanonicalForm:

@@ -135,6 +135,37 @@ class TestRequirementSet:
         with pytest.raises(RequirementError, match="not a requirement body"):
             RequirementSet("s", (Requirement("r", atom(ref=100)),))
 
+    def test_members_are_requirements(self):
+        with pytest.raises(RequirementError, match="not a requirement: 'x'") as info:
+            RequirementSet("s", ("x",))
+        assert info.value.index == 0
+        size = Requirement("r1", NetworkConstraint(MetricId.SIZE, Comparator.GE, 1))
+        with pytest.raises(RequirementError, match="not a requirement") as info:
+            RequirementSet("s", (size, size.body))
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ForAllActors("x"),
+            lambda: And(("x", "y")),
+            lambda: And((atom(), "y")),
+            lambda: Or((atom(), MetricId.IN_DEGREE)),
+            lambda: Not(MetricId.IN_DEGREE),
+            lambda: CountActors(Or((1, 2)), Comparator.GE, 1),
+            lambda: CountActors("x", Comparator.GE, 1),
+            # A body is no predicate.
+            lambda: Not(NetworkConstraint(MetricId.SIZE, Comparator.GE, 1)),
+        ],
+        ids=[
+            "forall", "and", "and-second-part", "or", "not", "count-or", "count",
+            "not-body",
+        ],
+    )
+    def test_predicates_are_predicate_nodes(self, build):
+        with pytest.raises(RequirementError, match="not an actor predicate"):
+            build()
+
     def test_duplicate_labels_rejected(self):
         req = Requirement("x", NetworkConstraint(MetricId.SIZE, Comparator.GE, 1))
         with pytest.raises(RequirementError, match="duplicate"):
