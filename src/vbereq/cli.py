@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .evaluator import EvaluationError, evaluate, role_candidates
+from .evaluator import ROLES, EvaluationError, evaluate, role_candidates
 from .metrics import MODES
 from .netio import FormatError, infer_format, load_network_text
 from .network import NetworkError, SocialNetwork
@@ -105,13 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--parent",
         metavar="FILE",
-        help="parent network file for @parent atoms (default: the network itself)",
+        help="parent network file for @parent atoms (default: the loaded network)",
     )
     check.add_argument(
         "--actors",
         metavar="IDS",
-        help="comma-separated subset to evaluate; the loaded network becomes "
-        "the parent and the induced subnetwork is checked",
+        help="comma-separated subset to evaluate: the subnetwork the loaded "
+        "network induces on it is checked, with --parent (default: the loaded "
+        "network) as its parent",
     )
     check.add_argument(
         "--mode",
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_options(roles)
     roles.add_argument(
         "--role",
-        choices=("member", "planner", "broker", "all"),
+        choices=(*ROLES, "all"),
         default="all",
         help="which role to screen for",
     )
@@ -183,12 +184,17 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8-sig")
 
 
+def _read_network(path: str, fmt: str, undirected: bool) -> SocialNetwork:
+    """The network in ``path``; under ``--undirected`` an edge list gains
+    both directions of every tie."""
+    symmetric = undirected and fmt == "edges"
+    return load_network_text(_read_text(path), fmt, symmetric=symmetric)
+
+
 def _load_network(args: argparse.Namespace) -> tuple[SocialNetwork, str, str]:
     """The loaded network, its display name, and the evaluation view."""
     fmt = args.format or infer_format(args.network)
-    text = _read_text(args.network)
-    symmetric = args.undirected and fmt == "edges"
-    net = load_network_text(text, fmt, symmetric=symmetric)
+    net = _read_network(args.network, fmt, args.undirected)
     view = "undirected" if args.undirected else "directed"
     return net, Path(args.network).stem, view
 
@@ -212,22 +218,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     reqs = _load_requirements(args.requirements)
     parent = None
     if args.parent is not None:
+        # The parent's suffix names its format; --format only fills in.
         parent_fmt = args.format
         try:
             parent_fmt = infer_format(args.parent)
         except FormatError:
             if parent_fmt is None:
                 raise
-        parent = load_network_text(
-            _read_text(args.parent),
-            parent_fmt,
-            symmetric=args.undirected and parent_fmt == "edges",
-        )
+        parent = _read_network(args.parent, parent_fmt, args.undirected)
     if args.actors is not None:
         subset = tuple(a.strip() for a in args.actors.split(","))
         if parent is None:
             parent = net
-        net = parent.induced(subset)
+        net = net.induced(subset)
         name = f"{name}[{','.join(subset)}]"
     report = evaluate(
         net,
@@ -244,7 +247,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_roles(args: argparse.Namespace) -> int:
     net, name, view = _load_network(args)
-    wanted = ("member", "planner", "broker") if args.role == "all" else (args.role,)
+    wanted = ROLES if args.role == "all" else (args.role,)
     candidates = {
         role: role_candidates(net, role, members_only=args.members_only)
         for role in wanted

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
 from .metrics import (
     MODES,
@@ -46,7 +46,7 @@ from .metrics import (
 )
 from .network import SocialNetwork
 from .render import metric_display
-from .reqtext import render_literal, render_predicate
+from .reqtext import render_literal, render_predicate, render_reference
 from .requirements import (
     AnchorDesignation,
     And,
@@ -118,13 +118,13 @@ class EvaluationReport:
         }
 
 
-Role = Literal["member", "planner", "broker"]
-
 _ROLE_TEMPLATES = {
     "member": template_member,
     "planner": template_planner,
     "broker": template_broker,
 }
+# Every role, in the order reports and listings give them.
+ROLES = tuple(_ROLE_TEMPLATES)
 
 
 # -- predicate machinery ------------------------------------------------------
@@ -216,12 +216,9 @@ def _failures(pred, actor: str, scope: _Scope, polarity: bool = True) -> list[st
     observed = observe_actor_metric(
         scope.target(pred), pred.metric, actor, view=scope.view, mode=scope.mode
     )
-    ref = pred.reference
-    if isinstance(ref, AvgOfOthers):
-        ref_value = scope.reference(pred, actor)
-        ref_text = f"avg_others({ref.metric.value}) = {fraction_str(ref_value)}"
-    else:
-        ref_text = render_literal(ref, pred.metric in UNIT_INTERVAL_METRICS)
+    ref_text = render_reference(pred)
+    if isinstance(pred.reference, AvgOfOthers):
+        ref_text += f" = {fraction_str(scope.reference(pred, actor))}"
     negation = "" if polarity else "not "
     value_text = fraction_str(observed.value, observed.ratio)
     return [
@@ -301,9 +298,11 @@ def _count_verdict(req: Requirement, scope: _Scope, explain: bool) -> Verdict:
     violators: list[tuple[str, str]] = []
     observed: tuple[MetricValue, ...] = ()
     if not satisfied:
-        # Lower bounds blame the actors missing the predicate; upper bounds
-        # blame the surplus of actors satisfying it.
-        too_few = count < bound_value
+        # Below the bound, or at a strict lower bound, the actors missing the
+        # predicate are blamed; otherwise the surplus of actors satisfying it.
+        too_few = count < bound_value or (
+            count == bound_value and body.cmp is Comparator.GT
+        )
         if too_few:
             chosen = set(witnesses)
             violators = [
@@ -594,7 +593,7 @@ class SubsetJudge:
 
 
 def role_candidates(
-    net: SocialNetwork, role: Role, *, members_only: bool = False
+    net: SocialNetwork, role: str, *, members_only: bool = False
 ) -> list[str]:
     """Actors whose role predicate holds, in actor order.
 

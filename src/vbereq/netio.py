@@ -24,6 +24,14 @@ class FormatError(ValueError):
     """Malformed network file content."""
 
 
+def _actor_id(actor: str, line_no: int) -> str:
+    """``actor``, or a FormatError at ``line_no`` if it is no valid actor id."""
+    try:
+        return validate_actor_id(actor)
+    except NetworkError as exc:
+        raise FormatError(f"line {line_no}: {exc}") from None
+
+
 def _split_csv_row(line: str) -> list[str]:
     return [cell.strip() for cell in line.split(",")]
 
@@ -39,11 +47,7 @@ def parse_matrix_csv(text: str) -> SocialNetwork:
         header = header[1:]
     seen: set[str] = set()
     for actor in header:
-        try:
-            validate_actor_id(actor)
-        except NetworkError as exc:
-            raise FormatError(f"line 1: {exc}") from None
-        if actor in seen:
+        if _actor_id(actor, 1) in seen:
             raise FormatError(f"line 1: duplicate actor id {actor!r}")
         seen.add(actor)
     n = len(header)
@@ -102,11 +106,7 @@ def parse_edge_list(text: str, symmetric: bool = False) -> SocialNetwork:
     saw_edges = False
 
     def admit(actor: str, line_no: int) -> None:
-        try:
-            validate_actor_id(actor)
-        except NetworkError as exc:
-            raise FormatError(f"line {line_no}: {exc}") from None
-        if actor not in known:
+        if _actor_id(actor, line_no) not in known:
             known.add(actor)
             actors.append(actor)
 

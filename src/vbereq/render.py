@@ -119,9 +119,8 @@ def explain(report: EvaluationReport, color: bool = False) -> str:
         lines.append(line)
     if report.peel_trace is not None:
         lines.append(f"peeled: {_listing(report.peel_trace)}")
-    roles = report.role_candidacies
     listed = [
-        f"{role}: {_listing(roles.get(role, ()))}" for role in ("member", "planner", "broker")
+        f"{role}: {_listing(actors)}" for role, actors in report.role_candidacies.items()
     ]
     lines.append("roles: " + " | ".join(listed))
     lines.append(f"overall: {tag(report.overall)}")

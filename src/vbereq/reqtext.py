@@ -60,6 +60,7 @@ from .requirements import (
     RequirementError,
     RequirementSet,
 )
+from .values import fraction_str
 
 
 class RequirementSyntaxError(ValueError):
@@ -356,10 +357,7 @@ def parse_requirements(text: str) -> RequirementSet:
         saw_statement = True
         if head.text == "anchor":
             rest = raw[raw.index("anchor", head.col - 1) + len("anchor") :].strip()
-            try:
-                body: object = AnchorDesignation(rest or None)
-            except ValueError as exc:
-                raise RequirementSyntaxError(str(exc), line_no, head.col) from None
+            body: object = parser.build(AnchorDesignation, head, rest or None)
             label = "anchor"
         elif head.text == "require":
             label = f"r{len(requirements) + 1}"
@@ -385,17 +383,13 @@ def parse_requirements(text: str) -> RequirementSet:
 
 
 def render_literal(value: int | Fraction, percent: bool) -> str:
-    """Canonical literal: whole percents for unit-range values, else n/d."""
-    if isinstance(value, int):
-        return str(value)
-    frac = Fraction(value)
-    if frac.denominator == 1 and not percent:
-        return str(frac.numerator)
-    if percent:
-        scaled = frac * 100
+    """Canonical literal: a whole percent for a non-int unit-range value
+    that has one, else the value as :func:`fraction_str` writes it."""
+    if percent and not isinstance(value, int):
+        scaled = Fraction(value) * 100
         if scaled.denominator == 1:
             return f"{scaled.numerator}%"
-    return f"{frac.numerator}/{frac.denominator}"
+    return fraction_str(value)
 
 
 def render_reference(atom: Atom) -> str:

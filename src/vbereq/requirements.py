@@ -22,11 +22,14 @@ is expressed.
 
 Thresholds and comparisons are exact rationals end to end.
 
-The AST is valid by construction: every node checks its children when it is
-built and rejects, with ``RequirementError``, a set member that is not a
-``Requirement``, a body that is not one of the five kinds, and a predicate or
-predicate part that is not an ``Atom``, ``And``, ``Or`` or ``Not``. The
-parser, the serializer and the evaluator trust any AST they are given.
+The AST is valid by construction: every node checks its children and fields
+when it is built and rejects, with ``RequirementError``, a set member that is
+not a ``Requirement``, a body that is not one of the five kinds, a predicate
+or predicate part that is not an ``Atom``, ``And``, ``Or`` or ``Not``, a
+metric that is not a ``MetricId``, a comparator that is not a
+``Comparator``, a path scope that is not a ``PathScope``, and an
+``AnchorDesignation`` whose pinned id is no valid actor id. The parser, the
+serializer and the evaluator trust any AST they are given.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 from typing import Union, get_args
 
 from .metrics import ACTOR_METRICS, NETWORK_METRICS, UNIT_INTERVAL_METRICS, MetricId
-from .network import validate_actor_id
+from .network import NetworkError, validate_actor_id
 from .values import is_defined
 
 
@@ -119,6 +122,7 @@ class AvgOfOthers:
     metric: MetricId
 
     def __post_init__(self) -> None:
+        _check_child(self.metric, (MetricId,), "a metric")
         if self.metric not in ACTOR_METRICS:
             raise RequirementError(
                 f"avg_others takes an actor-scoped metric, not {self.metric.value}"
@@ -142,6 +146,8 @@ class Atom:
     on_parent: bool = False
 
     def __post_init__(self) -> None:
+        _check_child(self.metric, (MetricId,), "a metric")
+        _check_child(self.cmp, (Comparator,), "a comparator")
         if self.metric not in ACTOR_METRICS:
             raise RequirementError(
                 f"{self.metric.value} is network-scoped; atoms take actor metrics"
@@ -187,6 +193,8 @@ class NetworkConstraint:
     threshold: Union[int, Fraction]
 
     def __post_init__(self) -> None:
+        _check_child(self.metric, (MetricId,), "a metric")
+        _check_child(self.cmp, (Comparator,), "a comparator")
         if self.metric not in NETWORK_METRICS:
             raise RequirementError(
                 f"{self.metric.value} is actor-scoped; wrap it in forall/count"
@@ -220,6 +228,7 @@ class CountActors:
 
     def __post_init__(self) -> None:
         _check_child(self.predicate, _PREDICATES, "an actor predicate")
+        _check_child(self.cmp, (Comparator,), "a comparator")
         if self.fraction_of_size:
             if not isinstance(self.bound, (int, Fraction)) or not 0 <= self.bound <= 1:
                 raise RequirementError("fraction-of-size bounds must lie in [0,1]")
@@ -246,6 +255,8 @@ class PairwisePath:
     threshold: int
 
     def __post_init__(self) -> None:
+        _check_child(self.between, (PathScope,), "a path scope")
+        _check_child(self.cmp, (Comparator,), "a comparator")
         if isinstance(self.threshold, bool) or not isinstance(self.threshold, int):
             raise RequirementError("path thresholds must be integers")
         if self.threshold < 0:
@@ -261,7 +272,10 @@ class AnchorDesignation:
 
     def __post_init__(self) -> None:
         if self.anchor is not None:
-            validate_actor_id(self.anchor)
+            try:
+                validate_actor_id(self.anchor)
+            except NetworkError as exc:
+                raise RequirementError(str(exc)) from None
 
 
 RequirementBody = Union[
@@ -344,26 +358,16 @@ def template_member() -> ActorPredicate:
     )
 
 
+def _above_others(metric: MetricId) -> Atom:
+    return Atom(metric, Comparator.GT, AvgOfOthers(metric))
+
+
 def template_broker() -> ActorPredicate:
     """A broker's in- and out-degrees exceed the other actors' averages."""
-    return And(
-        (
-            Atom(MetricId.IN_DEGREE, Comparator.GT, AvgOfOthers(MetricId.IN_DEGREE)),
-            Atom(MetricId.OUT_DEGREE, Comparator.GT, AvgOfOthers(MetricId.OUT_DEGREE)),
-        )
-    )
+    return And((_above_others(MetricId.IN_DEGREE), _above_others(MetricId.OUT_DEGREE)))
 
 
 def template_planner() -> ActorPredicate:
     """A planner is a broker whose reciprocated density is also above average."""
-    return And(
-        (
-            Atom(MetricId.IN_DEGREE, Comparator.GT, AvgOfOthers(MetricId.IN_DEGREE)),
-            Atom(MetricId.OUT_DEGREE, Comparator.GT, AvgOfOthers(MetricId.OUT_DEGREE)),
-            Atom(
-                MetricId.RECIPROCATED_DENSITY,
-                Comparator.GT,
-                AvgOfOthers(MetricId.RECIPROCATED_DENSITY),
-            ),
-        )
-    )
+    above = _above_others(MetricId.RECIPROCATED_DENSITY)
+    return And((*template_broker().parts, above))

@@ -137,6 +137,34 @@ MUTANTS = (
             "::test_peel_matches_peeling_by_evaluate",
         ),
     ),
+    Mutant(
+        "enumerator drops the fixed anchor",
+        "src/vbereq/search.py",
+        "k - len(fixed)",
+        "k",
+        ("tests/test_search.py::TestExhaustive",),
+    ),
+    Mutant(
+        "--undirected reads an edge list one way",
+        "src/vbereq/cli.py",
+        'symmetric = undirected and fmt == "edges"',
+        'symmetric = undirected and fmt != "edges"',
+        ("tests/test_cli.py::TestMetricsCommand",),
+    ),
+    Mutant(
+        "--actors cuts the parent instead of the loaded network",
+        "src/vbereq/cli.py",
+        "net = net.induced(subset)",
+        "net = parent.induced(subset)",
+        ("tests/test_cli.py::TestCheckCommand",),
+    ),
+    Mutant(
+        "count blame treats > as an upper bound",
+        "src/vbereq/evaluator.py",
+        "count == bound_value and body.cmp is Comparator.GT",
+        "count == bound_value and body.cmp is Comparator.GE",
+        ("tests/test_evaluator.py::TestVerdictShapes",),
+    ),
 )
 
 

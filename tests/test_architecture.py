@@ -4,7 +4,9 @@ import ast
 from pathlib import Path
 from typing import get_args
 
-from vbereq import evaluator
+import inspect
+
+from vbereq import evaluator, search
 from vbereq.requirements import RequirementBody
 
 PACKAGE = Path(__file__).parents[1] / "src" / "vbereq"
@@ -199,3 +201,43 @@ def test_the_parser_trusts_the_ast_to_check_itself():
         and "TypeError" in {getattr(n, "id", "") for n in ast.walk(node)}
     ]
     assert raised == []
+
+
+def _calls(tree: ast.AST, name: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == name
+    ]
+
+
+def test_each_decision_has_one_home():
+    # Only the search driver puts the anchor into a subset.
+    assert "anchor" not in inspect.signature(search._subsets).parameters
+    # A malformed designated id is the AST's own RequirementError, located
+    # through ``build``; the parser catches no id check of its own.
+    parse = next(
+        node
+        for node in MODULES["reqtext"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "parse_requirements"
+    )
+    caught = {
+        getattr(n, "id", "")
+        for node in ast.walk(parse)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for n in ast.walk(node.type)
+    }
+    assert not caught & {"ValueError", "NetworkError"}
+    assert "NetworkError" not in {
+        getattr(node, "id", "") for node in ast.walk(MODULES["reqtext"])
+    }
+    # The evaluator names the roles; everything else reads them from it.
+    naming = sorted(
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("planner", "broker")
+    )
+    assert set(naming) == {"evaluator"}
+    # One place turns a bad actor id in a network file into a FormatError.
+    assert len(_calls(MODULES["netio"], "validate_actor_id")) == 1

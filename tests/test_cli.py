@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from vbereq import evaluate, parse_requirements
 from vbereq.cli import main
+from vbereq.fixtures import load_steel10, load_wholesale
+from vbereq.render import render_report
 
 FIXTURES = Path(__file__).parents[1] / "src" / "vbereq" / "fixtures"
 STEEL_CSV = str(FIXTURES / "steel10.csv")
@@ -39,6 +42,12 @@ class TestMetricsCommand:
         assert main(["metrics", "--network", WHOLESALE_EDGES, "--undirected"]) == 0
         doc_out = capsys.readouterr().out
         assert "view: undirected" in doc_out
+
+    def test_undirected_edge_list_gains_both_directions(self, capsys):
+        assert main(["metrics", "--network", WHOLESALE_EDGES, "--undirected"]) == 0
+        out = capsys.readouterr().out
+        assert "density: 18/90 (0.2000, 20%)\n" in out
+        assert "recip_ratio: 18/18 (1, 100%)\n" in out
 
     def test_lenient_mode(self, capsys):
         edges = "A,B\n"
@@ -122,6 +131,53 @@ class TestCheckCommand:
         assert "--format" in capsys.readouterr().err
         assert main(argv + ["--parent", str(parent), "--format", "edges"]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("out", ["text", "json"])
+    @pytest.mark.parametrize(
+        "network, load, reqs, subset, extra",
+        [
+            (STEEL_CSV, load_steel10, STEEL_REQ, "B,E,G,A,C", []),
+            (WHOLESALE_EDGES, load_wholesale, WHOLESALER_REQ, "A,C,E,F",
+             ["--anchor", "A", "--undirected"]),
+        ],
+        ids=["steel10", "wholesale"],
+    )
+    def test_actors_checks_the_subnetwork_of_the_loaded_network(
+        self, network, load, reqs, subset, extra, out, capsys
+    ):
+        argv = ["check", "--network", network, "--requirements", reqs,
+                "--actors", subset, "--out", out, *extra]
+        rc = main(argv)
+        net = load()
+        report = evaluate(
+            net.induced(subset.split(",")),
+            parse_requirements(Path(reqs).read_text()),
+            "A" if extra else None,
+            parent=net,
+            network_name=f"{Path(network).stem}[{subset}]",
+            view="undirected" if extra else "directed",
+        )
+        assert capsys.readouterr().out.encode() == render_report(report, out)
+        assert rc == (0 if report.overall else 1)
+
+    def test_actors_cut_the_loaded_network_not_the_parent(self, tmp_path, capsys):
+        # The loaded network's ties among A, C, E and F (only E-F) are not
+        # the ones wholesale.edges induces there, so the check must refuse.
+        network = tmp_path / "pairs.edges"
+        network.write_text("A,B\nC,D\nE,F\nG,H\n")
+        rc = main(
+            [
+                "check",
+                "--network", str(network),
+                "--parent", WHOLESALE_EDGES,
+                "--requirements", WHOLESALER_REQ,
+                "--actors", "A,C,E,F",
+                "--anchor", "A",
+                "--undirected",
+            ]
+        )
+        assert rc == 2
+        assert "differ from those the parent network induces" in capsys.readouterr().err
 
     def test_anchor_required_when_set_needs_one(self, capsys):
         rc = main(

@@ -175,6 +175,25 @@ class TestVerdictShapes:
         assert verdict.witnesses == ("B", "E", "G")
         assert all(reason == "satisfies (in_density > 80%)" for _, reason in verdict.violators)
 
+    @pytest.mark.parametrize(
+        "rule, blamed",
+        [
+            ("> 2", {"C": "out_degree=0, required >=1", "D": "out_degree=0, required >=1"}),
+            ("== 3", {"C": "out_degree=0, required >=1", "D": "out_degree=0, required >=1"}),
+            ("< 2", {"A": "satisfies (out_degree >= 1)", "B": "satisfies (out_degree >= 1)"}),
+            ("== 1", {"A": "satisfies (out_degree >= 1)", "B": "satisfies (out_degree >= 1)"}),
+        ],
+    )
+    def test_count_blame_follows_the_comparator(self, rule, blamed):
+        # Two of four actors satisfy the predicate: a strict lower bound at
+        # the count is short of witnesses, a strict upper bound has a surplus.
+        net = SocialNetwork(tuple("ABCD"), frozenset({("A", "B"), ("B", "A")}))
+        reqs = parse_requirements(f"require q : count actor (out_degree >= 1) {rule}\n")
+        verdict = evaluate(net, reqs).verdicts[0]
+        assert not verdict.satisfied
+        assert verdict.witnesses == ("A", "B")
+        assert dict(verdict.violators) == blamed
+
     def test_count_without_violators_reports_size(self, steel10):
         body = CountActors(
             Atom(MetricId.IN_DEGREE, Comparator.GE, 0), Comparator.GE, 11
@@ -242,6 +261,16 @@ class TestVerdictShapes:
         reasons = dict(verdict.violators)
         assert reasons["A"] == "in_degree=5, required >avg_others(in_degree) = 46/9"
 
+    def test_avg_others_on_two_actors_is_the_other_actor(self):
+        net = SocialNetwork(("A", "B"), frozenset({("A", "B")}))
+        reqs = parse_requirements(
+            "require q : forall actor (in_degree >= avg_others(in_degree))\n"
+        )
+        verdict = evaluate(net, reqs).verdicts[0]
+        assert verdict.violators == (
+            ("A", "in_degree=0, required >=avg_others(in_degree) = 1"),
+        )
+
 
 class TestRoles:
     def test_role_screening_matches_candidacies(self, steel10):
@@ -264,6 +293,16 @@ class TestRoles:
         net = SocialNetwork(tuple("ABC"), frozenset({("A", "B"), ("B", "A")}))
         assert role_candidates(net, "broker") == ["A", "B"]
         assert role_candidates(net, "planner") == []
+
+    def test_members_only_lists_exactly(self):
+        # E is a planner and a broker of the whole network but not of the
+        # subnetwork its fellow members A, D and E induce.
+        ties = "AD BE CA DA DC DE EA EB ED"
+        net = SocialNetwork(tuple("ABCDE"), frozenset(tuple(t) for t in ties.split()))
+        assert role_candidates(net, "member", members_only=True) == ["A", "D", "E"]
+        for role in ("planner", "broker"):
+            assert role_candidates(net, role) == ["D", "E"]
+            assert role_candidates(net, role, members_only=True) == ["D"]
 
     def test_members_only_without_members_finds_no_one(self):
         # No ties, so no member candidates to screen a broker among.

@@ -13,7 +13,7 @@ from vbereq import (
     observe_network_metric,
 )
 from vbereq.metrics import reachable_fraction, shortest_path_length
-from vbereq.values import UNDEFINED, UNREACHABLE
+from vbereq.values import UNDEFINED, UNREACHABLE, decimal_str
 
 # Frozen from the bundled ten-firm matrix, verified against independent
 # scans before freezing.
@@ -128,6 +128,11 @@ class TestDegenerateValues:
         assert network_metric(n, MetricId.AVG_PATH_LENGTH, mode="lenient") == 1
         assert reachable_fraction(n) == Fraction(1, 6)
         assert reachable_fraction(n, view="undirected") == Fraction(2, 6)
+
+    def test_a_decimal_that_rounds_to_zero_has_no_sign(self):
+        assert decimal_str(Fraction(-1, 10**5)) == "0.0000"
+        assert decimal_str(Fraction(1, 10**5)) == "0.0000"
+        assert decimal_str(Fraction(-1, 10**4)) == "-0.0001"
 
     def test_bad_view_and_mode(self, steel10):
         with pytest.raises(ValueError, match="view"):

@@ -225,6 +225,11 @@ class TestErrors:
         with pytest.raises(RequirementSyntaxError, match="unexpected character"):
             parse_requirements("require x : size >= $5\n")
 
+    def test_unexpected_character_is_located_at_it(self):
+        with pytest.raises(RequirementSyntaxError) as exc:
+            parse_requirements("require x : size >= $5\n")
+        assert str(exc.value) == "line 1, column 21: unexpected character '$'"
+
     def test_trailing_tokens(self):
         with pytest.raises(RequirementSyntaxError, match="trailing"):
             parse_requirements("require x : size >= 5 extra\n")

@@ -78,6 +78,39 @@ class TestAtomValidation:
         Atom(MetricId.IN_DEGREE, Comparator.GT, AvgOfOthers(MetricId.IN_DEGREE))
 
 
+class TestLeafFields:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Atom("in_degree", Comparator.GT, 1),
+            lambda: Atom(MetricId.IN_DEGREE, ">", 1),
+            lambda: AvgOfOthers("in_degree"),
+            lambda: NetworkConstraint("density", Comparator.GT, Fraction(1, 2)),
+            lambda: NetworkConstraint(MetricId.DENSITY, ">", Fraction(1, 2)),
+            lambda: CountActors(atom(), ">=", 1),
+            lambda: PairwisePath(PathScope.ALL_PAIRS, "<=", 2),
+            lambda: PairwisePath("all->all", Comparator.LE, 2),
+        ],
+        ids=[
+            "atom-metric",
+            "atom-cmp",
+            "avg-others-metric",
+            "network-metric",
+            "network-cmp",
+            "count-cmp",
+            "path-cmp",
+            "path-scope",
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_rejected(self, build):
+        with pytest.raises(RequirementError, match="^not a "):
+            build()
+
+    def test_a_bad_designated_id_is_a_requirement_error(self):
+        with pytest.raises(RequirementError, match="must not contain ',' or ':'"):
+            AnchorDesignation("a:b")
+
+
 class TestCombinators:
     def test_and_or_need_two_parts(self):
         with pytest.raises(RequirementError):

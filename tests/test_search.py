@@ -9,6 +9,7 @@ from vbereq import (
     AnchorDesignation,
     Atom,
     Comparator,
+    CountActors,
     EvaluationError,
     ForAllActors,
     MetricId,
@@ -378,6 +379,22 @@ class TestGreedyPeel:
         if sol is not None:
             assert len(sol.actors) <= 8
             assert sol.report.overall
+
+    def test_a_strict_lower_count_bound_peels_a_non_witness(self):
+        # A and B are the witnesses, so 2 > 50% of 4 fails and the rule
+        # blames C and D. They tie on blame and degree, so the earlier, C,
+        # is peeled, and 2 > 50% of 3 holds.
+        net = SocialNetwork(tuple("ABCD"), frozenset({("A", "B"), ("B", "A")}))
+        body = CountActors(
+            Atom(MetricId.OUT_DEGREE, Comparator.GE, 1),
+            Comparator.GT,
+            Fraction(1, 2),
+            fraction_of_size=True,
+        )
+        reqs = RequirementSet("t", (Requirement("q", body),))
+        sol = search_greedy_peel(net, reqs, SearchConfig(1, 4))
+        assert sol.actors == ("A", "B", "D")
+        assert sol.report.peel_trace == ("C",)
 
     def test_peel_success_reevaluates_to_pass(self, steel10_f3):
         cfg = SearchConfig(5, 10)
