@@ -30,9 +30,11 @@ from .metrics import MODES
 from .netio import FormatError, infer_format, load_network_text
 from .network import NetworkError, SocialNetwork
 from .render import render_metrics, render_report, render_roles, render_search
+from .render import subnetwork_name
 from .reqtext import RequirementSyntaxError, parse_requirements
-from .requirements import RequirementError, RequirementSet
+from .requirements import RequirementError
 from .search import (
+    DEFAULT_ENUMERATION_CAP,
     OBJECTIVES,
     SearchConfig,
     SearchError,
@@ -74,6 +76,15 @@ def _add_out_option(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_mode_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--mode",
+        choices=MODES,
+        default="strict",
+        help="path-metric handling of unreachable pairs",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vbe",
@@ -86,12 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_network_options(metrics)
     _add_out_option(metrics)
-    metrics.add_argument(
-        "--mode",
-        choices=MODES,
-        default="strict",
-        help="path-metric handling of unreachable pairs",
-    )
+    _add_mode_option(metrics)
     metrics.set_defaults(handler=_cmd_metrics)
 
     check = commands.add_parser(
@@ -103,23 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--anchor", metavar="ID", help="anchor actor id")
     check.add_argument(
-        "--parent",
-        metavar="FILE",
-        help="parent network file for @parent atoms (default: the loaded network)",
-    )
-    check.add_argument(
         "--actors",
         metavar="IDS",
-        help="comma-separated subset to evaluate: the subnetwork the loaded "
-        "network induces on it is checked, with --parent (default: the loaded "
-        "network) as its parent",
+        help="comma-separated subset to evaluate: the subnetwork that the loaded "
+        "network (the parent @parent atoms read) induces on it, named in parent order",
     )
-    check.add_argument(
-        "--mode",
-        choices=MODES,
-        default="strict",
-        help="path-metric handling of unreachable pairs",
-    )
+    _add_mode_option(check)
     _add_out_option(check)
     check.set_defaults(handler=_cmd_check)
 
@@ -169,9 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--cap",
         type=int,
-        default=None,
+        default=DEFAULT_ENUMERATION_CAP,
         metavar="N",
-        help="fail once exhaustive search would decide more than N subsets",
+        help="fail once exhaustive search would decide more than N subsets "
+        "(default: %(default)s)",
     )
     search.add_argument("--anchor", metavar="ID", help="anchor actor id")
     _add_out_option(search)
@@ -184,23 +180,14 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8-sig")
 
 
-def _read_network(path: str, fmt: str, undirected: bool) -> SocialNetwork:
-    """The network in ``path``; under ``--undirected`` an edge list gains
-    both directions of every tie."""
-    symmetric = undirected and fmt == "edges"
-    return load_network_text(_read_text(path), fmt, symmetric=symmetric)
-
-
 def _load_network(args: argparse.Namespace) -> tuple[SocialNetwork, str, str]:
-    """The loaded network, its display name, and the evaluation view."""
+    """The loaded network (under --undirected an edge list gains both
+    directions of every tie), its display name, and the evaluation view."""
     fmt = args.format or infer_format(args.network)
-    net = _read_network(args.network, fmt, args.undirected)
+    symmetric = args.undirected and fmt == "edges"
+    net = load_network_text(_read_text(args.network), fmt, symmetric=symmetric)
     view = "undirected" if args.undirected else "directed"
     return net, Path(args.network).stem, view
-
-
-def _load_requirements(path: str) -> RequirementSet:
-    return parse_requirements(_read_text(path))
 
 
 def _emit(data: bytes) -> None:
@@ -215,23 +202,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     net, name, view = _load_network(args)
-    reqs = _load_requirements(args.requirements)
+    reqs = parse_requirements(_read_text(args.requirements))
     parent = None
-    if args.parent is not None:
-        # The parent's suffix names its format; --format only fills in.
-        parent_fmt = args.format
-        try:
-            parent_fmt = infer_format(args.parent)
-        except FormatError:
-            if parent_fmt is None:
-                raise
-        parent = _read_network(args.parent, parent_fmt, args.undirected)
     if args.actors is not None:
-        subset = tuple(a.strip() for a in args.actors.split(","))
-        if parent is None:
-            parent = net
-        net = net.induced(subset)
-        name = f"{name}[{','.join(subset)}]"
+        parent, net = net, net.induced(a.strip() for a in args.actors.split(","))
+        name = subnetwork_name(name, net.actors)
     report = evaluate(
         net,
         reqs,
@@ -258,13 +233,12 @@ def _cmd_roles(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     net, name, view = _load_network(args)
-    reqs = _load_requirements(args.requirements)
-    cap = {} if args.cap is None else {"enumeration_cap": args.cap}
+    reqs = parse_requirements(_read_text(args.requirements))
     cfg = SearchConfig(
         min_size=args.min_size,
         max_size=args.max_size,
         objective=args.objective,
-        **cap,
+        enumeration_cap=args.cap,
     )
     if args.mode == "peel":
         best = search_greedy_peel(

@@ -203,22 +203,27 @@ def _holds(pred, actor: str, scope: _Scope) -> bool:
 def _failures(pred, actor: str, scope: _Scope, polarity: bool = True) -> list[str]:
     """Describe the leaf atoms that pull ``pred`` away from ``polarity``.
 
-    Empty exactly when ``pred`` holds for ``actor`` (under ``polarity``).
+    Empty exactly when ``pred`` holds for ``actor`` (under ``polarity``);
+    an inner node reads that off its parts' lists, so each is decided once.
     """
-    if _holds(pred, actor, scope) == polarity:
-        return []
     if isinstance(pred, Not):
         return _failures(pred.part, actor, scope, not polarity)
     if not isinstance(pred, Atom):
-        return [
-            desc for part in pred.parts for desc in _failures(part, actor, scope, polarity)
-        ]
+        parts = [_failures(part, actor, scope, polarity) for part in pred.parts]
+        # An And needs every part and an Or one; under a Not, the reverse.
+        needs_all = isinstance(pred, And) == polarity
+        if not (any(parts) if needs_all else all(parts)):
+            return []
+        return [desc for descs in parts for desc in descs]
     observed = observe_actor_metric(
         scope.target(pred), pred.metric, actor, view=scope.view, mode=scope.mode
     )
+    reference = scope.reference(pred, actor)
+    if pred.cmp.holds(observed.value, reference) == polarity:
+        return []
     ref_text = render_reference(pred)
     if isinstance(pred.reference, AvgOfOthers):
-        ref_text += f" = {fraction_str(scope.reference(pred, actor))}"
+        ref_text += f" = {fraction_str(reference)}"
     negation = "" if polarity else "not "
     value_text = fraction_str(observed.value, observed.ratio)
     return [

@@ -8,6 +8,10 @@ all-pairs distance tables, which live and die with it.
 
 Actor order is the insertion order and every derived network preserves it,
 so reports over the same data render identically from run to run.
+
+One private builder fills every instance: the constructor calls it after
+checking ids and ties, the derivations with neighbour sets cut or mirrored
+from a network already checked, so they check nothing again.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class SocialNetwork:
     _out: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     _in: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     _distances: dict[bool, dict[str, dict[str, int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -80,10 +84,19 @@ class SocialNetwork:
                 raise NetworkError(f"self-tie on {a!r} is not allowed")
             out[a].add(b)
             inc[b].add(a)
-        object.__setattr__(self, "actors", actors)
-        object.__setattr__(self, "ties", ties)
-        object.__setattr__(self, "_out", {a: frozenset(out[a]) for a in actors})
-        object.__setattr__(self, "_in", {a: frozenset(inc[a]) for a in actors})
+        self._fill(
+            actors,
+            ties,
+            {a: frozenset(out[a]) for a in actors},
+            {a: frozenset(inc[a]) for a in actors},
+        )
+
+    def _fill(self, actors, ties, out, inc) -> "SocialNetwork":
+        """Set every field from checked parts: the one network builder."""
+        fields = ("actors", "ties", "_out", "_in", "_distances")
+        for name, value in zip(fields, (actors, ties, out, inc, {})):
+            object.__setattr__(self, name, value)
+        return self
 
     # -- queries ---------------------------------------------------------
 
@@ -164,20 +177,13 @@ class SocialNetwork:
         actors = tuple(a for a in self.actors if a in wanted)
         out = {a: self._out[a] & wanted for a in actors}
         inc = {a: self._in[a] & wanted for a in actors}
-        net = object.__new__(SocialNetwork)
-        for name, value in (
-            ("actors", actors),
-            ("ties", frozenset((a, b) for a in actors for b in out[a])),
-            ("_out", out),
-            ("_in", inc),
-            ("_distances", {}),
-        ):
-            object.__setattr__(net, name, value)
-        return net
+        ties = frozenset((a, b) for a in actors for b in out[a])
+        return object.__new__(SocialNetwork)._fill(actors, ties, out, inc)
 
     def symmetrized(self) -> "SocialNetwork":
         """The undirected view: every tie is made mutual."""
         mirrored = self.ties | {(b, a) for a, b in self.ties}
         if mirrored == self.ties:
             return self
-        return SocialNetwork(self.actors, mirrored)
+        both = {a: self._out[a] | self._in[a] for a in self.actors}
+        return object.__new__(SocialNetwork)._fill(self.actors, mirrored, both, both)

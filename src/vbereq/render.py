@@ -92,6 +92,11 @@ def _json_value(mv: MetricValue):
 # -- reports ------------------------------------------------------------------
 
 
+def subnetwork_name(name: str, actors: tuple[str, ...]) -> str:
+    """``name[a,b,...]``: the subnetwork of ``name`` on ``actors``, in parent order."""
+    return f"{name}[{','.join(actors)}]"
+
+
 def explain(report: EvaluationReport, color: bool = False) -> str:
     """One line per verdict plus roles and the overall outcome.
 

@@ -52,6 +52,7 @@ from typing import Callable
 from .evaluator import EvaluationReport, SubsetJudge
 from .metrics import MetricId, actor_metric, network_metric
 from .network import SocialNetwork
+from .render import subnetwork_name
 from .requirements import RequirementSet
 
 EXHAUSTIVE_SIZE_GUARD = 20
@@ -115,10 +116,6 @@ def _objective_value(cfg: SearchConfig, sub: SocialNetwork) -> int | Fraction:
         value = network_metric(sub, MetricId.DENSITY)
         return value if isinstance(value, (int, Fraction)) else Fraction(0)
     return sub.size
-
-
-def _subnet_name(network_name: str, actors: tuple[str, ...]) -> str:
-    return f"{network_name}[{','.join(actors)}]"
 
 
 def _subsets(actors: tuple[str, ...], k: int, conflicts: frozenset[tuple[str, str]]):
@@ -198,7 +195,8 @@ def search_exhaustive(
             sub = judge.decide(fixed + rest)
             if sub is None:
                 continue
-            explain = partial(judge.report, sub, _subnet_name(network_name, sub.actors))
+            name = subnetwork_name(network_name, sub.actors)
+            explain = partial(judge.report, sub, name)
             solution = SubnetworkSolution(sub.actors, _objective_value(cfg, sub), explain)
             if cfg.objective == "first":
                 return [solution]
@@ -235,7 +233,7 @@ def search_greedy_peel(
     current = net
     trace: list[str] = []
     while True:
-        report = judge.report(current, _subnet_name(network_name, current.actors))
+        report = judge.report(current, subnetwork_name(network_name, current.actors))
         if report.overall and current.size <= cfg.max_size:
             explain = partial(replace, report, peel_trace=tuple(trace))
             value = _objective_value(cfg, current)

@@ -36,6 +36,7 @@ UNDEFINED = Sentinel("UNDEFINED")
 UNREACHABLE = Sentinel("UNREACHABLE")
 
 MetricResult = int | Fraction | Sentinel
+DECIMAL_PLACES = 4
 
 
 def is_defined(value: MetricResult) -> bool:
@@ -67,18 +68,18 @@ def fraction_str(value: MetricResult, ratio: tuple[int, int] | None = None) -> s
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def decimal_str(value: MetricResult, places: int = 4) -> str:
-    """Render a value as a decimal with ``places`` digits, round half up."""
+def decimal_str(value: MetricResult) -> str:
+    """Render a value as a decimal with DECIMAL_PLACES digits, round half up."""
     if isinstance(value, Sentinel):
         return value.name.lower()
     frac = Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)
-    scale = 10**places
+    scale = 10**DECIMAL_PLACES
     scaled = _round_half_up(frac, scale)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
-    return f"{sign}{scaled // scale}.{scaled % scale:0{places}d}"
+    return f"{sign}{scaled // scale}.{scaled % scale:0{DECIMAL_PLACES}d}"
 
 
 def percent_str(value: MetricResult) -> str:

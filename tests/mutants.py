@@ -147,16 +147,37 @@ MUTANTS = (
     Mutant(
         "--undirected reads an edge list one way",
         "src/vbereq/cli.py",
-        'symmetric = undirected and fmt == "edges"',
-        'symmetric = undirected and fmt != "edges"',
+        'symmetric = args.undirected and fmt == "edges"',
+        'symmetric = args.undirected and fmt != "edges"',
         ("tests/test_cli.py::TestMetricsCommand",),
     ),
     Mutant(
-        "--actors cuts the parent instead of the loaded network",
+        "--actors evaluates without its parent",
         "src/vbereq/cli.py",
-        "net = net.induced(subset)",
-        "net = parent.induced(subset)",
+        "parent, net = net, net.induced(",
+        "parent, net = None, net.induced(",
         ("tests/test_cli.py::TestCheckCommand",),
+    ),
+    Mutant(
+        "a subnetwork named after the typed ids",
+        "src/vbereq/cli.py",
+        "name = subnetwork_name(name, net.actors)",
+        'name = subnetwork_name(name, tuple(args.actors.split(",")))',
+        ("tests/test_cli.py::TestCheckCommand",),
+    ),
+    Mutant(
+        "undirected distances follow out-ties only",
+        "src/vbereq/network.py",
+        "both = {a: self._out[a] | self._in[a] for a in self.actors}",
+        "both = {a: self._out[a] for a in self.actors}",
+        ("tests/test_properties.py::TestInduced",),
+    ),
+    Mutant(
+        "_failures treats an Or like an And",
+        "src/vbereq/evaluator.py",
+        "needs_all = isinstance(pred, And) == polarity",
+        "needs_all = isinstance(pred, (And, Or)) == polarity",
+        ("tests/test_properties.py::TestFailures",),
     ),
     Mutant(
         "count blame treats > as an upper bound",

@@ -141,6 +141,25 @@ def test_no_import_cycles():
     assert [name for name in graph if reaches(name, name, {name})] == []
 
 
+def test_one_builder_fills_every_network():
+    network = MODULES["network"]
+    setters = {
+        function.name
+        for function in ast.walk(network)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+    }
+    assert setters == {"_fill"}
+    # Derivations skip the checks by building through it, not the constructor.
+    constructed = [
+        node.lineno
+        for node in ast.walk(network)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "SocialNetwork"
+    ]
+    assert constructed == []
+
+
 def test_the_cli_formats_nothing_itself():
     cli = MODULES["cli"]
     modules = {node.module for node in ast.walk(cli) if isinstance(node, ast.ImportFrom)}

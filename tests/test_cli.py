@@ -114,36 +114,18 @@ class TestCheckCommand:
         assert doc["network"] == "wholesale[A,C,E,F]"
         assert doc["anchor"] == "A"
 
-    def test_parent_with_unknown_suffix_falls_back_to_format(self, tmp_path, capsys):
-        parent = tmp_path / "wholesale.dat"
-        parent.write_text(Path(WHOLESALE_EDGES).read_text())
-        argv = [
-            "check",
-            "--network", WHOLESALE_EDGES,
-            "--requirements", WHOLESALER_REQ,
-            "--actors", "A,C,E,F",
-            "--anchor", "A",
-            "--undirected",
-        ]
-        assert main(argv + ["--parent", WHOLESALE_EDGES]) == 0
-        expected = capsys.readouterr().out
-        assert main(argv + ["--parent", str(parent)]) == 2
-        assert "--format" in capsys.readouterr().err
-        assert main(argv + ["--parent", str(parent), "--format", "edges"]) == 0
-        assert capsys.readouterr().out == expected
-
     @pytest.mark.parametrize("out", ["text", "json"])
     @pytest.mark.parametrize(
-        "network, load, reqs, subset, extra",
+        "network, load, reqs, subset, name, extra",
         [
-            (STEEL_CSV, load_steel10, STEEL_REQ, "B,E,G,A,C", []),
+            (STEEL_CSV, load_steel10, STEEL_REQ, "B,E,G,A,C", "steel10[A,B,C,E,G]", []),
             (WHOLESALE_EDGES, load_wholesale, WHOLESALER_REQ, "A,C,E,F",
-             ["--anchor", "A", "--undirected"]),
+             "wholesale[A,C,E,F]", ["--anchor", "A", "--undirected"]),
         ],
         ids=["steel10", "wholesale"],
     )
     def test_actors_checks_the_subnetwork_of_the_loaded_network(
-        self, network, load, reqs, subset, extra, out, capsys
+        self, network, load, reqs, subset, name, extra, out, capsys
     ):
         argv = ["check", "--network", network, "--requirements", reqs,
                 "--actors", subset, "--out", out, *extra]
@@ -154,30 +136,40 @@ class TestCheckCommand:
             parse_requirements(Path(reqs).read_text()),
             "A" if extra else None,
             parent=net,
-            network_name=f"{Path(network).stem}[{subset}]",
+            network_name=name,
             view="undirected" if extra else "directed",
         )
         assert capsys.readouterr().out.encode() == render_report(report, out)
         assert rc == (0 if report.overall else 1)
 
-    def test_actors_cut_the_loaded_network_not_the_parent(self, tmp_path, capsys):
-        # The loaded network's ties among A, C, E and F (only E-F) are not
-        # the ones wholesale.edges induces there, so the check must refuse.
-        network = tmp_path / "pairs.edges"
-        network.write_text("A,B\nC,D\nE,F\nG,H\n")
-        rc = main(
-            [
-                "check",
-                "--network", str(network),
-                "--parent", WHOLESALE_EDGES,
-                "--requirements", WHOLESALER_REQ,
-                "--actors", "A,C,E,F",
-                "--anchor", "A",
-                "--undirected",
-            ]
-        )
-        assert rc == 2
-        assert "differ from those the parent network induces" in capsys.readouterr().err
+    def test_actors_name_the_subnetwork_as_search_does(self, capsys):
+        # Typed out of order and with A twice, the ids still name the
+        # evaluated subnetwork: parent order, each actor once.
+        common = ["--network", WHOLESALE_EDGES, "--requirements", WHOLESALER_REQ,
+                  "--anchor", "A", "--undirected"]
+        assert main(["check", *common, "--actors", "F,E,A,C,A"]) == 0
+        checked = capsys.readouterr().out
+        assert main(["search", *common, "--min-size", "4", "--max-size", "4"]) == 0
+        found = capsys.readouterr().out
+        assert checked.startswith("network: wholesale[A,C,E,F]\n")
+        assert "network: wholesale[A,C,E,F]\n" in found
+
+    def test_there_is_no_parent_option(self, capsys):
+        # The README's subnetwork check, with the parent given a second time.
+        argv = [
+            "check",
+            "--network", WHOLESALE_EDGES,
+            "--requirements", WHOLESALER_REQ,
+            "--actors", "A,C,E,F",
+            "--anchor", "A",
+            "--undirected",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--parent", WHOLESALE_EDGES]) == 2
+        assert "unrecognized arguments: --parent" in capsys.readouterr().err
+        assert main(["check", "--help"]) == 0
+        assert "--parent" not in capsys.readouterr().out
 
     def test_anchor_required_when_set_needs_one(self, capsys):
         rc = main(
@@ -228,7 +220,6 @@ class TestByteOrderMark:
             [
                 "check",
                 "--network", WHOLESALE_EDGES,
-                "--parent", WHOLESALE_EDGES,
                 "--requirements", WHOLESALER_REQ,
                 "--actors", "A,F,I,J",
                 "--anchor", "A",

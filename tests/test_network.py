@@ -2,7 +2,7 @@
 
 import pytest
 
-from vbereq import NetworkError, SocialNetwork
+from vbereq import NetworkError, SocialNetwork, network
 
 
 def net(actors, ties=()):
@@ -92,6 +92,15 @@ class TestDerivations:
         s = n.symmetrized()
         assert s.ties == {("A", "B"), ("B", "A")}
         assert s.symmetrized() is s
+
+    def test_derivations_check_no_actor_id_again(self, monkeypatch):
+        n = net("ABCD", {("A", "B"), ("B", "C"), ("C", "D")})
+        checked = []
+        monkeypatch.setattr(network, "validate_actor_id", checked.append)
+        n.induced("ABC")
+        n.symmetrized()
+        n.distances(undirected=True)
+        assert checked == []
 
 
 class TestDistances:

@@ -50,6 +50,7 @@ from vbereq import (
     SearchError,
     is_defined,
 )
+from vbereq import evaluator
 from vbereq.evaluator import SubsetJudge
 from vbereq.fixtures import load_wholesale, template_wholesaler
 from vbereq.metrics import (
@@ -813,6 +814,20 @@ class TestInduced:
         inner = data.draw(st.lists(st.sampled_from(ordered), min_size=1, unique=True))
         assert sub.induced(inner) == net.induced(inner)
 
+    @settings(max_examples=200, deadline=None)
+    @given(networks())
+    def test_symmetrized_matches_the_network_built_from_the_mirrored_ties(self, net):
+        sym = net.symmetrized()
+        built = SocialNetwork(net.actors, net.ties | {(b, a) for a, b in net.ties})
+        assert sym == built and hash(sym) == hash(built)
+        assert (sym.actors, sym.ties) == (built.actors, built.ties)
+        for a in net.actors:
+            assert sym.out_neighbors(a) == built.out_neighbors(a)
+            assert sym.in_neighbors(a) == built.in_neighbors(a)
+        for undirected in (False, True):
+            assert sym.distances(undirected) == built.distances(undirected)
+        assert net.distances(undirected=True) == built.distances()
+
     @settings(max_examples=50, deadline=None)
     @given(networks())
     def test_unknown_actor_and_empty_subset_raise(self, net):
@@ -820,3 +835,95 @@ class TestInduced:
             net.induced([net.actors[0], "Z"])
         with pytest.raises(NetworkError, match="at least one actor"):
             net.induced([])
+
+
+def trees(depth: int = 4):
+    """Predicates of depth at most ``depth``, with atoms on either network."""
+    leaf = atoms(allow_parent=True)
+    if depth == 1:
+        return leaf
+    kids = trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Not, kids),
+        st.lists(kids, min_size=2, max_size=3).map(lambda ps: And(tuple(ps))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda ps: Or(tuple(ps))),
+    )
+
+
+def _failures_by_deciding_every_node(pred, actor, scope, polarity=True):
+    """The descriptions that deciding each node before its parts gives."""
+    if evaluator._holds(pred, actor, scope) == polarity:
+        return []
+    if isinstance(pred, Not):
+        return _failures_by_deciding_every_node(pred.part, actor, scope, not polarity)
+    if isinstance(pred, Atom):
+        return evaluator._failures(pred, actor, scope, polarity)
+    return [
+        desc
+        for part in pred.parts
+        for desc in _failures_by_deciding_every_node(part, actor, scope, polarity)
+    ]
+
+
+class TestFailures:
+    """A predicate's failure list is empty exactly when it holds, and reads
+    the same as when every node was decided before its parts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        subnetworks(max_size=7),
+        trees(),
+        st.sampled_from(VIEWS),
+        st.sampled_from(MODES),
+        st.data(),
+    )
+    def test_empty_exactly_when_the_predicate_holds(
+        self, pair, pred, view, mode, data
+    ):
+        parent, net = pair
+        scope = evaluator._Scope(net, parent, None, view, mode)
+        actor = data.draw(st.sampled_from(net.actors))
+        for p in (pred, Not(pred)):
+            failures = evaluator._failures(p, actor, scope)
+            assert (failures == []) == evaluator._holds(p, actor, scope)
+            assert failures == _failures_by_deciding_every_node(p, actor, scope)
+
+
+def _mutual(net):
+    return SocialNetwork(net.actors, net.ties | {(b, a) for a, b in net.ties})
+
+
+class TestSymmetricViews:
+    """On a network whose ties are all mutual, the directed and undirected
+    views are the same graph, so they give the same bytes and solutions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        networks(min_size=3, max_size=9).map(_mutual),
+        requirement_sets(),
+        st.sampled_from(MODES),
+        st.data(),
+    )
+    def test_evaluate(self, net, reqs, mode, data):
+        anchor = data.draw(st.sampled_from(net.actors)) if reqs.needs_anchor else None
+        directed, undirected = (
+            render_report(evaluate(net, reqs, anchor, view=view, mode=mode), "json")
+            for view in ("directed", "undirected")
+        )
+        assert directed == undirected
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases(), st.sampled_from(MODES))
+    def test_search_exhaustive(self, case, mode):
+        net, reqs, anchor, lo, hi = case
+        net = _mutual(net)
+        cfg = SearchConfig(lo, hi)
+        directed, undirected = (
+            [
+                (s.actors, s.objective_value)
+                for s in search_exhaustive(net, reqs, cfg, anchor, view=view, mode=mode)
+            ]
+            for view in ("directed", "undirected")
+        )
+        assert directed == undirected
